@@ -16,6 +16,7 @@ import (
 	"os"
 	"time"
 
+	"backfi/internal/benchfile"
 	"backfi/internal/experiments"
 	"backfi/internal/fault"
 	"backfi/internal/obs"
@@ -32,7 +33,7 @@ func main() {
 	workers := flag.Int("workers", 0, "evaluation concurrency: 0 = all CPUs, 1 = sequential (results are identical for every value)")
 	impair := flag.Float64("impair", 0, "RF impairment severity in [0,1]: 0 = the paper's ideal front end, >0 runs every figure under fault.Standard(severity) (DESIGN.md §5d)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	benchOut := flag.String("benchout", "", "write per-figure headline metrics + wall-clock seconds to this JSON file (e.g. BENCH_results.json)")
+	benchOut := flag.String("benchout", "", "merge per-figure headline metrics + wall-clock seconds into the \"figures\" section of this JSON file (e.g. BENCH_results.json)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text on ADDR/metrics and pprof on ADDR/debug/pprof/ while running (e.g. localhost:9090)")
 	manifestOut := flag.String("manifest", "", "write a per-run manifest (config, seed, build info, per-figure wall clock + headline metric, final metric snapshot) to this JSON file")
 	flag.Parse()
@@ -243,19 +244,14 @@ func headlineMetric(fig string, data any) (string, float64) {
 	return "n/a", 0
 }
 
-// writeBench writes the per-figure summaries if a path was given.
+// writeBench merges the per-figure summaries into the "figures"
+// section of path, if a path was given; other sections and figures not
+// run this time keep their values.
 func writeBench(path string, bench map[string]benchEntry) {
 	if path == "" {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatalf("benchout: %v", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(bench); err != nil {
+	if err := benchfile.Merge(path, "figures", bench); err != nil {
 		log.Fatalf("benchout: %v", err)
 	}
 	log.Printf("wrote %s", path)

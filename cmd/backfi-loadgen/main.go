@@ -49,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"backfi/internal/benchfile"
 	"backfi/internal/cluster"
 	"backfi/internal/core"
 	"backfi/internal/fault"
@@ -322,7 +323,7 @@ func main() {
 		}
 	}
 	if *out != "" {
-		if err := mergeOut(*out, *outKey, sum); err != nil {
+		if err := benchfile.Merge(*out, "", map[string]any{*outKey: sum}); err != nil {
 			log.Fatalf("out: %v", err)
 		}
 		log.Printf("merged %s entry into %s", *outKey, *out)
@@ -805,26 +806,4 @@ func quantileUS(sorted []int64, q float64) float64 {
 		return 0
 	}
 	return float64(sorted[int(q*float64(len(sorted)-1))])
-}
-
-// mergeOut folds the summary into path under key, preserving every
-// other top-level key (the file also carries "figures" and "micro"
-// sections written by other tools, and may hold several serving
-// entries — e.g. "serving" for the legacy JSON baseline and
-// "serving_binary" for the binary-protocol run).
-func mergeOut(path, key string, sum map[string]any) error {
-	doc := map[string]any{}
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &doc); err != nil {
-			return fmt.Errorf("existing %s: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	doc[key] = sum
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

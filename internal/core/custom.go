@@ -33,7 +33,7 @@ func (l *Link) RunCustomExcitation(excitation []complex128, payload []byte) (*Pa
 	packetStart := len(wake)
 	packetLen := len(x) - packetStart
 
-	spChan := l.m.spanChannelSim.Start()
+	spChan := l.m.channelSim.Start(l.trace)
 	xAir := l.inj.ApplyFrontEnd(l.Scenario.Distortion.Apply(x))
 	z := l.Scenario.HF.Apply(xAir)
 	if _, ok := l.Tag.TryWake(z[:packetStart+tag.SilentSamples]); !ok {
@@ -55,7 +55,7 @@ func (l *Link) RunCustomExcitation(excitation []complex128, payload []byte) (*Pa
 	l.inj.TruncateTail(y, packetStart, packetLen)
 	spChan.End()
 
-	spDec := l.m.spanDecode.Start()
+	spDec := l.m.decode.Start(l.trace)
 	res, err := l.rdr.Decode(x, xAir, y, packetStart, packetLen, l.Tag.Cfg)
 	spDec.End()
 	if err != nil {

@@ -81,8 +81,7 @@ func (l *Link) runPacketHot(payload []byte) (*PacketResult, error) {
 		hi = len(x)
 	}
 
-	tspChan := l.trace.Start("channel_sim")
-	spChan := l.m.spanChannelSim.Start()
+	spChan := l.m.channelSim.Start(l.trace)
 
 	// Tag side: forward channel over the window (the wake detector also
 	// needs the CTS/wake prefix), then wake detection with the same
@@ -126,15 +125,12 @@ func (l *Link) runPacketHot(payload []byte) (*PacketResult, error) {
 	}
 	l.Scenario.Noise.AddInPlaceRange(h.y, packetStart, hi)
 	spChan.End()
-	tspChan.End()
 
 	// Decode sees the window as the packet: available symbols are
 	// bounded by hi, which covers the frame plus timing slack.
-	tspDec := l.trace.Start("decode_total")
-	spDec := l.m.spanDecode.Start()
+	spDec := l.m.decode.Start(l.trace)
 	res, err := h.stream.Decode(x, xAir, h.y, packetStart, hi-packetStart, tcfg)
 	spDec.End()
-	tspDec.End()
 	if err != nil {
 		return nil, err
 	}
@@ -186,11 +182,9 @@ func (l *Link) rebuildHot(nppdu int) (*hotState, error) {
 	if l.Cfg.Migratable {
 		l.rng.Seed(l.cacheSeed(nppdu))
 	}
-	tspExc := l.trace.Start("excitation_build")
-	spExc := l.m.spanExcitation.Start()
+	spExc := l.m.excitation.Start(l.trace)
 	x, packetStart, err := buildExcitation(l.rng, l.rate, l.Cfg.WiFiPSDUBytes, l.Scenario.TxPowerW(), l.Tag, nppdu)
 	spExc.End()
-	tspExc.End()
 	if err != nil {
 		return nil, err
 	}

@@ -179,12 +179,12 @@ func (p *PacketResult) liftDiagnostics(res *reader.Result) {
 }
 
 // linkMetrics holds the link's instrument handles, resolved once at
-// NewLink so RunPacket does no registry lookups. All fields are nil
-// (no-op) when metrics are disabled.
+// NewLink so RunPacket does no registry lookups. Without a registry
+// every instrument is nil (no-op) and the stages time only trace spans.
 type linkMetrics struct {
-	spanExcitation *obs.Histogram
-	spanChannelSim *obs.Histogram
-	spanDecode     *obs.Histogram
+	excitation     obs.Stage
+	channelSim     obs.Stage
+	decode         obs.Stage
 	packets        *obs.Counter
 	packetsOK      *obs.Counter
 	failWake       *obs.Counter
@@ -198,19 +198,13 @@ type linkMetrics struct {
 }
 
 func newLinkMetrics(r *obs.Registry) linkMetrics {
-	if r == nil {
-		return linkMetrics{}
-	}
-	stage := func(name string) *obs.Histogram {
-		return r.Histogram(obs.MetricStageDuration, obs.HelpStageDuration, obs.DurationBuckets, "stage", name)
-	}
 	snr := func(kind string) *obs.Histogram {
 		return r.Histogram(obs.MetricSNR, "Per-packet SNR in dB.", obs.DBBuckets, "kind", kind)
 	}
 	return linkMetrics{
-		spanExcitation: stage("excitation_build"),
-		spanChannelSim: stage("channel_sim"),
-		spanDecode:     stage("decode_total"),
+		excitation:     r.Stage("excitation_build"),
+		channelSim:     r.Stage("channel_sim"),
+		decode:         r.Stage("decode_total"),
 		packets:        r.Counter(obs.MetricPackets, "Packet exchanges attempted."),
 		packetsOK:      r.Counter(obs.MetricPacketsOK, "Packets whose decoded payload matched exactly."),
 		failWake:       r.Counter(obs.MetricStageFailures, "Decode aborts and frame failures by pipeline stage.", "stage", "wake"),
@@ -450,18 +444,15 @@ func (l *Link) RunPacket(payload []byte) (*PacketResult, error) {
 		nppdu = 1
 	}
 
-	tspExc := l.trace.Start("excitation_build")
-	spExc := l.m.spanExcitation.Start()
+	spExc := l.m.excitation.Start(l.trace)
 	x, packetStart, err := buildExcitation(l.rng, l.rate, l.Cfg.WiFiPSDUBytes, l.Scenario.TxPowerW(), l.Tag, nppdu)
 	spExc.End()
-	tspExc.End()
 	if err != nil {
 		return nil, err
 	}
 	packetLen := len(x) - packetStart
 
-	tspChan := l.trace.Start("channel_sim")
-	spChan := l.m.spanChannelSim.Start()
+	spChan := l.m.channelSim.Start(l.trace)
 
 	// Air: the transmitted waveform carries hardware distortion the
 	// receiver cannot reconstruct, plus any injected front-end
@@ -512,13 +503,10 @@ func (l *Link) RunPacket(payload []byte) (*PacketResult, error) {
 	l.inj.ApplyADC(y)
 	l.inj.TruncateTail(y, packetStart, packetLen)
 	spChan.End()
-	tspChan.End()
 
-	tspDec := l.trace.Start("decode_total")
-	spDec := l.m.spanDecode.Start()
+	spDec := l.m.decode.Start(l.trace)
 	res, err := l.rdr.Decode(x, xAir, y, packetStart, packetLen, l.Tag.Cfg)
 	spDec.End()
-	tspDec.End()
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@ import (
 //     asleep; a misconfigured tag sharing the addressed tag's wake
 //     sequence backscatters concurrently and collides.
 //   - RunSlot lights a GROUP that shares a wake sequence (SetWakeGroup
-//     + mac.TagMAC arbitration) and decodes the colliding reflections
+//   - mac.TagMAC arbitration) and decodes the colliding reflections
 //     jointly by successive cancellation (DESIGN.md §5i).
 //
 // Both regimes run through the same fault-injected, traced, metered
@@ -156,12 +156,7 @@ func (m *MultiTagLink) excitation(scIdx, wakeIdx, nppdu int) (x, xAir []complex1
 	sc := m.Scenarios[scIdx]
 	tg := m.Tags[wakeIdx]
 	wakeID := tg.WakeID()
-	tspExc := m.base.trace.Start("excitation_build")
-	spExc := m.base.m.spanExcitation.Start()
-	defer func() {
-		spExc.End()
-		tspExc.End()
-	}()
+	defer m.base.m.excitation.Start(m.base.trace).End()
 
 	if m.base.inj == nil && m.pool != nil {
 		tx, ps, hit, err := m.pool.excitation(tg, m.base.rate, m.Cfg.WiFiPSDUBytes, sc.TxPowerW(), nppdu)
@@ -245,8 +240,7 @@ func (m *MultiTagLink) RunPacket(addressed int, payload []byte) (*MultiTagResult
 	}
 	packetLen := len(x) - packetStart
 
-	tspChan := m.base.trace.Start("channel_sim")
-	spChan := m.base.m.spanChannelSim.Start()
+	spChan := m.base.m.channelSim.Start(m.base.trace)
 	res := &MultiTagResult{Addressed: addressed, Woke: make([]bool, len(m.Tags))}
 
 	// An injected wake fault corrupts the burst itself: the addressed
@@ -297,13 +291,10 @@ func (m *MultiTagLink) RunPacket(addressed int, payload []byte) (*MultiTagResult
 	m.base.inj.ApplyADC(y)
 	m.base.inj.TruncateTail(y, packetStart, packetLen)
 	spChan.End()
-	tspChan.End()
 
-	tspDec := m.base.trace.Start("decode_total")
-	spDec := m.base.m.spanDecode.Start()
+	spDec := m.base.m.decode.Start(m.base.trace)
 	dec, err := m.base.rdr.Decode(x, xAir, y, packetStart, packetLen, tgt.Cfg)
 	spDec.End()
-	tspDec.End()
 	if err != nil {
 		return nil, err
 	}
@@ -383,8 +374,7 @@ func (m *MultiTagLink) RunSlot(polled []int, payloads [][]byte) (*SlotResult, er
 	}
 	packetLen := len(x) - packetStart
 
-	tspChan := m.base.trace.Start("channel_sim")
-	spChan := m.base.m.spanChannelSim.Start()
+	spChan := m.base.m.channelSim.Start(m.base.trace)
 	res := &SlotResult{
 		Polled:  append([]int(nil), polled...),
 		Woke:    make([]bool, len(m.Tags)),
@@ -430,7 +420,6 @@ func (m *MultiTagLink) RunSlot(polled []int, payloads [][]byte) (*SlotResult, er
 	m.base.inj.ApplyADC(y)
 	m.base.inj.TruncateTail(y, packetStart, packetLen)
 	spChan.End()
-	tspChan.End()
 
 	// The reader decodes every provisioned member of the wake group,
 	// not just the polled subset: an unpolled member that woke (an
@@ -446,11 +435,9 @@ func (m *MultiTagLink) RunSlot(polled []int, payloads [][]byte) (*SlotResult, er
 			cfgs = append(cfgs, tg.Cfg)
 		}
 	}
-	tspDec := m.base.trace.Start("decode_total")
-	spDec := m.base.m.spanDecode.Start()
+	spDec := m.base.m.decode.Start(m.base.trace)
 	jr, err := m.base.rdr.DecodeJoint(x, xAir, y, packetStart, packetLen, cfgs)
 	spDec.End()
-	tspDec.End()
 	if err != nil {
 		return nil, err
 	}

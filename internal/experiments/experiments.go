@@ -64,10 +64,11 @@ func (o Options) withDefaults() Options {
 }
 
 // figureSpan times one figure harness end to end under
-// backfi_figure_duration_seconds{fig="..."}. The returned span's End is
-// safe on the zero value, so harnesses call it unconditionally.
-func (o Options) figureSpan(fig string) obs.Span {
-	return o.Obs.Histogram(obs.MetricFigureDuration, "Wall-clock seconds per figure harness.", obs.DurationBuckets, "fig", fig).Start()
+// backfi_figure_duration_seconds{fig="..."}. Without a registry the
+// span is inert, so harnesses call End unconditionally.
+func (o Options) figureSpan(fig string) obs.StageSpan {
+	h := o.Obs.Histogram(obs.MetricFigureDuration, "Wall-clock seconds per figure harness.", obs.DurationBuckets, "fig", fig)
+	return obs.NewStage(fig, h).Start(obs.TraceCtx{})
 }
 
 // table renders aligned columns.

@@ -24,13 +24,13 @@ func BenchmarkNilHistogramObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkNilSpan(b *testing.B) {
+func BenchmarkNilStage(b *testing.B) {
 	var r *Registry
-	h := r.Histogram("h", "h", DurationBuckets)
+	st := r.Stage("s")
+	var c TraceCtx
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := h.Start()
-		sp.End()
+		st.Start(c).End()
 	}
 }
 
@@ -62,11 +62,11 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 	})
 }
 
-func BenchmarkSpan(b *testing.B) {
-	h := NewRegistry().Histogram("h", "h", DurationBuckets)
+func BenchmarkStage(b *testing.B) {
+	st := NewRegistry().Stage("s")
+	var c TraceCtx
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := h.Start()
-		sp.End()
+		st.Start(c).End()
 	}
 }

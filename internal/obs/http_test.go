@@ -12,7 +12,7 @@ func TestOpsEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(MetricPackets, "h").Inc()
 	tr := NewTracer(TracerConfig{})
-	tr.Head("sess", 0).Record("decode", time.Unix(1, 0), time.Millisecond)
+	tr.Head("sess", 0).record("decode", time.Unix(1, 0), time.Millisecond)
 	fl := NewFlightRecorder(16)
 	fl.Record(FlightWatchdogTrip, "sess", "residual", 7)
 	slo := NewSLO(SLOConfig{Obs: reg})

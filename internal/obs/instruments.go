@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing integer. All methods are safe
@@ -153,31 +152,6 @@ func (h *Histogram) Sum() float64 {
 		s += math.Float64frombits(h.shards[i].sumBits.Load())
 	}
 	return s
-}
-
-// Span times one region and records the elapsed seconds into a
-// histogram. It is a value type: starting a span on a nil histogram
-// returns the zero Span, whose End is a no-op that never reads the
-// clock — the whole disabled path is two nil checks.
-type Span struct {
-	h     *Histogram
-	start time.Time
-}
-
-// Start begins a span backed by h. On a nil histogram it returns the
-// zero Span without touching the clock.
-func (h *Histogram) Start() Span {
-	if h == nil {
-		return Span{}
-	}
-	return Span{h: h, start: time.Now()}
-}
-
-// End records the elapsed time. Safe to call on the zero Span.
-func (s Span) End() {
-	if s.h != nil {
-		s.h.Observe(time.Since(s.start).Seconds())
-	}
 }
 
 // ExpBuckets returns n exponentially spaced bucket bounds starting at

@@ -74,8 +74,10 @@ const (
 	// MetricServeQueueDepth is the per-shard queued-job gauge (label
 	// shard).
 	MetricServeQueueDepth = "backfi_serve_queue_depth"
-	// MetricServeJobStage is the per-stage job latency histogram (label
-	// stage = queue_wait | decode).
+	// MetricServeJobStage is the per-stage request latency histogram
+	// (label stage = conn_read | queue_wait | batch | decode |
+	// resp_write), the same stages and intervals as the serve spans of
+	// a traced frame (DESIGN.md §5h).
 	MetricServeJobStage = "backfi_serve_job_stage_seconds"
 	// MetricServeBatchJobs is the jobs-per-shard-batch histogram — the
 	// shard utilization signal (batches near BatchMax mean the shard is

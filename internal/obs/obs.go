@@ -1,7 +1,8 @@
 // Package obs is the simulator's dependency-free observability core:
-// atomic counters, gauges, lock-free sharded histograms, and lightweight
-// timing spans, collected in a Registry that snapshots to JSON and
-// renders the Prometheus text exposition format.
+// atomic counters, gauges, lock-free sharded histograms, and pipeline
+// stage timers (Stage) that feed one measured duration to a histogram
+// and a trace span alike, collected in a Registry that snapshots to
+// JSON and renders the Prometheus text exposition format.
 //
 // The package exists because BackFi's decoder is a multi-stage physical
 // pipeline (self-interference cancellation → preamble detection →

@@ -234,9 +234,10 @@ func hex64(v uint64) string {
 }
 
 // TraceCtx is the per-frame trace handle threaded through the decode
-// pipeline. The zero value is the disabled path: Enabled is false,
-// Start returns an inert span, and nothing — including the clock — is
-// touched. It is a 2-word value, copied freely.
+// pipeline; Stage.Start and Stage.Record take it to add a span. The
+// zero value is the disabled path: Enabled is false, recording is a
+// nil compare, and no stage reads the clock on its behalf. It is a 2-word
+// value, copied freely.
 type TraceCtx struct {
 	t  *Tracer
 	id uint64
@@ -254,37 +255,11 @@ func (c TraceCtx) ID() uint64 {
 	return c.id
 }
 
-// Start opens a span. On the zero ctx this is two nil stores and no
-// clock read.
-func (c TraceCtx) Start(name string) TraceSpan {
-	if c.t == nil {
-		return TraceSpan{}
-	}
-	return TraceSpan{c: c, name: name, start: time.Now()}
-}
-
-// Record logs a span after the fact — for intervals measured before
-// the sampling decision existed (queue wait is stamped at enqueue;
-// whether the job is traced is known only when it is served).
-func (c TraceCtx) Record(name string, start time.Time, d time.Duration) {
+// record logs a completed span; Stage is its only caller outside
+// tests, so every span comes from one stage call.
+func (c TraceCtx) record(name string, start time.Time, d time.Duration) {
 	if c.t == nil {
 		return
 	}
 	c.t.record(TraceEvent{Trace: c.id, Name: name, Start: start.UnixNano(), Dur: int64(d)})
-}
-
-// TraceSpan is an open span; End records it. The zero span's End is a
-// nil compare.
-type TraceSpan struct {
-	c     TraceCtx
-	name  string
-	start time.Time
-}
-
-// End completes the span and records it into the ring.
-func (s TraceSpan) End() {
-	if s.c.t == nil {
-		return
-	}
-	s.c.Record(s.name, s.start, time.Since(s.start))
 }

@@ -68,8 +68,7 @@ func TestTraceZeroCtxInert(t *testing.T) {
 	if c.Enabled() || c.ID() != 0 {
 		t.Fatal("zero ctx not inert")
 	}
-	c.Start("x").End() // must not panic or record
-	c.Record("y", time.Time{}, 0)
+	c.record("y", time.Time{}, 0)
 	var nilT *Tracer
 	if nilT.Head("s", 0).Enabled() || nilT.Join(7).Enabled() {
 		t.Fatal("nil tracer produced a live ctx")
@@ -94,7 +93,7 @@ func TestTraceJoin(t *testing.T) {
 	if !c.Enabled() || c.ID() != 0xDEAD {
 		t.Fatalf("join: got enabled=%v id=%x", c.Enabled(), c.ID())
 	}
-	c.Start("joined_span").End()
+	NewStage("joined_span", nil).Start(c).End()
 	evs := tr.Events()
 	if len(evs) != 1 || evs[0].Trace != 0xDEAD || evs[0].Name != "joined_span" {
 		t.Fatalf("joined span not recorded: %+v", evs)
@@ -105,7 +104,7 @@ func TestTraceRingWrap(t *testing.T) {
 	tr := NewTracer(TracerConfig{Capacity: 8})
 	c := tr.Head("s", 0)
 	for i := 0; i < 20; i++ {
-		c.Record("span", time.Unix(0, int64(i)), time.Nanosecond)
+		c.record("span", time.Unix(0, int64(i)), time.Nanosecond)
 	}
 	evs := tr.Events()
 	if len(evs) != 8 {
@@ -129,7 +128,7 @@ func TestTraceConcurrentRecord(t *testing.T) {
 			defer wg.Done()
 			c := tr.Head("sess", g)
 			for i := 0; i < 100; i++ {
-				c.Start("work").End()
+				NewStage("work", nil).Start(c).End()
 			}
 		}(g)
 	}
@@ -142,7 +141,7 @@ func TestTraceConcurrentRecord(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	tr := NewTracer(TracerConfig{Seed: 1})
 	c := tr.Head("sess", 0)
-	c.Record("decode", time.Unix(1, 500), 2*time.Microsecond)
+	c.record("decode", time.Unix(1, 500), 2*time.Microsecond)
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)

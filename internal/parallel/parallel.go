@@ -31,7 +31,7 @@ import (
 type poolMetrics struct {
 	item    *obs.Histogram
 	busy    *obs.Histogram
-	batch   *obs.Histogram
+	batch   obs.Stage
 	workers *obs.Gauge
 }
 
@@ -52,7 +52,7 @@ func SetRegistry(r *obs.Registry) {
 	metrics.Store(&poolMetrics{
 		item:    r.Histogram(obs.MetricParallelItem, "Wall-clock seconds per parallel work item.", obs.DurationBuckets),
 		busy:    r.Histogram(obs.MetricParallelBusy, "Per-worker busy seconds within one batch (sum of its item durations).", obs.DurationBuckets),
-		batch:   r.Histogram(obs.MetricParallelBatch, "Wall-clock seconds per ForEach batch.", obs.DurationBuckets),
+		batch:   obs.NewStage("parallel_batch", r.Histogram(obs.MetricParallelBatch, "Wall-clock seconds per ForEach batch.", obs.DurationBuckets)),
 		workers: r.Gauge(obs.MetricParallelWorkers, "Effective worker count of the most recent batch."),
 	})
 }
@@ -99,7 +99,7 @@ func ForEach(n, workers int, fn func(i int)) {
 			}
 			return
 		}
-		sp := m.batch.Start()
+		sp := m.batch.Start(obs.TraceCtx{})
 		var busy time.Duration
 		for i := 0; i < n; i++ {
 			t0 := time.Now()
@@ -116,10 +116,10 @@ func ForEach(n, workers int, fn func(i int)) {
 		next     atomic.Int64
 		wg       sync.WaitGroup
 		panicked atomic.Value
-		sp       obs.Span
+		sp       obs.StageSpan
 	)
 	if m != nil {
-		sp = m.batch.Start()
+		sp = m.batch.Start(obs.TraceCtx{})
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {

@@ -88,20 +88,16 @@ func (r *Reader) DecodeJoint(x, xTap, y []complex128, packetStart, packetLen int
 	}
 
 	// Shared stage 1: one SIC train/cancel for the whole group.
-	tspTrain := r.trace.Start("sic_train")
-	spTrain := r.m.spanSICTrain.Start()
-	canc, err := sic.Train(r.cfg.SIC, xTap, x, y, packetStart, packetStart+tag.SilentSamples)
+	spTrain := r.m.sicTrain.Start(r.trace)
+	canc, err := r.m.sic.Train(r.cfg.SIC, xTap, x, y, packetStart, packetStart+tag.SilentSamples)
 	spTrain.End()
-	tspTrain.End()
 	if err != nil {
 		r.m.failSICTrain.Inc()
 		return nil, fmt.Errorf("reader: %w", err)
 	}
-	tspCancel := r.trace.Start("sic_cancel")
-	spCancel := r.m.spanSICCancel.Start()
+	spCancel := r.m.sicCancel.Start(r.trace)
 	clean := canc.Cancel(xTap, x, y)
 	spCancel.End()
-	tspCancel.End()
 
 	preStart := packetStart + tag.SilentSamples
 	jr := &JointResult{Tags: make([]*Result, len(cfgs)), SIC: canc.Report()}
@@ -124,11 +120,9 @@ func (r *Reader) DecodeJoint(x, xTap, y []complex128, packetStart, packetLen int
 				continue
 			}
 			pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
-			tspEst := r.trace.Start("channel_estimate")
-			spEst := r.m.spanChanEst.Start()
+			spEst := r.m.chanEst.Start(r.trace)
 			hfb, err := r.estimateHfb(x, clean, preStart, pn)
 			spEst.End()
-			tspEst.End()
 			if err != nil {
 				r.m.failChanEst.Inc()
 				next = append(next, i)
@@ -183,8 +177,7 @@ func (r *Reader) decodeLayer(clean, ref []complex128, packetStart, packetLen, pr
 	preCorr := r.preambleCorrelation(clean, ref, preStart, pn)
 	r.m.preambleCorr.Observe(preCorr)
 
-	tspMRC := r.trace.Start("mrc")
-	spMRC := r.m.spanMRC.Start()
+	spMRC := r.m.mrc.Start(r.trace)
 	sps := tcfg.SamplesPerSymbol()
 	guard := r.cfg.ChannelTaps
 	if guard > sps/2 {
@@ -194,7 +187,6 @@ func (r *Reader) decodeLayer(clean, ref []complex128, packetStart, packetLen, pr
 	if nAvail <= 0 {
 		r.m.failPayload.Inc()
 		spMRC.End()
-		tspMRC.End()
 		return &Result{PreambleCorr: preCorr}, 0
 	}
 	ests := make([]complex128, nAvail)
@@ -212,13 +204,10 @@ func (r *Reader) decodeLayer(clean, ref []complex128, packetStart, packetLen, pr
 		}
 	}
 	spMRC.End()
-	tspMRC.End()
 
-	tspVit := r.trace.Start("viterbi")
-	spVit := r.m.spanViterbi.Start()
+	spVit := r.m.viterbi.Start(r.trace)
 	payload, used, corrected, frameOK := r.decodeFrame(ests, tcfg)
 	spVit.End()
-	tspVit.End()
 	if frameOK {
 		r.m.viterbiBits.Observe(float64(corrected))
 	} else {

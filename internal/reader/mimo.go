@@ -50,7 +50,7 @@ func (r *Reader) DecodeMulti(x, xTap []complex128, ys [][]complex128, packetStar
 		if len(y) != len(x) {
 			return nil, fmt.Errorf("reader: antenna %d length %d vs %d", i, len(y), len(x))
 		}
-		canc, err := sic.Train(r.cfg.SIC, xTap, x, y, packetStart, packetStart+tag.SilentSamples)
+		canc, err := r.m.sic.Train(r.cfg.SIC, xTap, x, y, packetStart, packetStart+tag.SilentSamples)
 		if err != nil {
 			return nil, fmt.Errorf("reader: antenna %d: %w", i, err)
 		}

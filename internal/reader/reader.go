@@ -94,16 +94,17 @@ type Result struct {
 }
 
 // readerMetrics holds the decoder's instrument handles, resolved once
-// at New so the per-packet path does no registry lookups. Every field
-// is nil when metrics are disabled; all operations on nil instruments
-// are no-ops.
+// at New so the per-packet path does no registry lookups. Without a
+// registry every instrument is nil (a no-op) and the stages time only
+// trace spans, and only on a sampled frame.
 type readerMetrics struct {
-	spanSICTrain   *obs.Histogram
-	spanSICCancel  *obs.Histogram
-	spanChanEst    *obs.Histogram
-	spanTiming     *obs.Histogram
-	spanMRC        *obs.Histogram
-	spanViterbi    *obs.Histogram
+	sicTrain       obs.Stage
+	sicCancel      obs.Stage
+	chanEst        obs.Stage
+	timing         obs.Stage
+	mrc            obs.Stage
+	viterbi        obs.Stage
+	sic            sic.Metrics
 	preambleCorr   *obs.Histogram
 	timingOffset   *obs.Histogram
 	viterbiBits    *obs.Histogram
@@ -115,23 +116,18 @@ type readerMetrics struct {
 	timingAdjusted *obs.Counter
 }
 
-func newReaderMetrics(r *obs.Registry) readerMetrics {
-	if r == nil {
-		return readerMetrics{}
-	}
-	stage := func(name string) *obs.Histogram {
-		return r.Histogram(obs.MetricStageDuration, obs.HelpStageDuration, obs.DurationBuckets, "stage", name)
-	}
+func newReaderMetrics(r, sicReg *obs.Registry) readerMetrics {
 	fail := func(name string) *obs.Counter {
 		return r.Counter(obs.MetricStageFailures, "Decode aborts and frame failures by pipeline stage.", "stage", name)
 	}
 	return readerMetrics{
-		spanSICTrain:   stage("sic_train"),
-		spanSICCancel:  stage("sic_cancel"),
-		spanChanEst:    stage("channel_estimate"),
-		spanTiming:     stage("timing_search"),
-		spanMRC:        stage("mrc"),
-		spanViterbi:    stage("viterbi"),
+		sicTrain:       r.Stage("sic_train"),
+		sicCancel:      r.Stage("sic_cancel"),
+		chanEst:        r.Stage("channel_estimate"),
+		timing:         r.Stage("timing_search"),
+		mrc:            r.Stage("mrc"),
+		viterbi:        r.Stage("viterbi"),
+		sic:            sic.NewMetrics(sicReg),
 		preambleCorr:   r.Histogram(obs.MetricPreambleCorr, "Normalized tag-preamble correlation (1 = perfect).", obs.LinBuckets(0, 0.05, 21)),
 		timingOffset:   r.Histogram(obs.MetricTimingOffset, "Absolute symbol-timing correction in samples.", obs.CountBuckets),
 		viterbiBits:    r.Histogram(obs.MetricViterbiCorrected, "Coded bits corrected by the Viterbi decoder per frame.", obs.CountBuckets),
@@ -171,7 +167,7 @@ func New(cfg Config) (*Reader, error) {
 	if cfg.SIC.Obs == nil {
 		cfg.SIC.Obs = cfg.Obs
 	}
-	return &Reader{cfg: cfg, m: newReaderMetrics(cfg.Obs)}, nil
+	return &Reader{cfg: cfg, m: newReaderMetrics(cfg.Obs, cfg.SIC.Obs)}, nil
 }
 
 // Decode processes one excitation packet.
@@ -199,20 +195,16 @@ func (r *Reader) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 
 	// Stage 1: self-interference cancellation, trained on the silent
 	// window (the tag backscatters nothing there).
-	tspTrain := r.trace.Start("sic_train")
-	spTrain := r.m.spanSICTrain.Start()
-	canc, err := sic.Train(r.cfg.SIC, xTap, x, y, packetStart, packetStart+tag.SilentSamples)
+	spTrain := r.m.sicTrain.Start(r.trace)
+	canc, err := r.m.sic.Train(r.cfg.SIC, xTap, x, y, packetStart, packetStart+tag.SilentSamples)
 	spTrain.End()
-	tspTrain.End()
 	if err != nil {
 		r.m.failSICTrain.Inc()
 		return nil, fmt.Errorf("reader: %w", err)
 	}
-	tspCancel := r.trace.Start("sic_cancel")
-	spCancel := r.m.spanSICCancel.Start()
+	spCancel := r.m.sicCancel.Start(r.trace)
 	clean := canc.Cancel(xTap, x, y)
 	spCancel.End()
-	tspCancel.End()
 
 	// Stage 2: combined-channel estimation from the tag preamble.
 	preStart := packetStart + tag.SilentSamples
@@ -222,11 +214,9 @@ func (r *Reader) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 		return nil, fmt.Errorf("reader: packet too short for tag preamble")
 	}
 	pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
-	tspEst := r.trace.Start("channel_estimate")
-	spEst := r.m.spanChanEst.Start()
+	spEst := r.m.chanEst.Start(r.trace)
 	hfb, err := r.estimateHfb(x, clean, preStart, pn)
 	spEst.End()
-	tspEst.End()
 	if err != nil {
 		r.m.failChanEst.Inc()
 		return nil, err
@@ -241,8 +231,7 @@ func (r *Reader) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	// matched filter, re-estimating the channel at each winner until
 	// the grid settles (a badly misaligned first estimate flattens the
 	// metric, so one pass can stop short of the true offset).
-	tspTiming := r.trace.Start("timing_search")
-	spTiming := r.m.spanTiming.Start()
+	spTiming := r.m.timing.Start(r.trace)
 	offset := 0
 	for pass := 0; pass < 3; pass++ {
 		step := r.searchTiming(clean, ref, preStart, pn)
@@ -258,7 +247,6 @@ func (r *Reader) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 		}
 	}
 	spTiming.End()
-	tspTiming.End()
 	if offset != 0 {
 		r.m.timingAdjusted.Inc()
 	}
@@ -269,8 +257,7 @@ func (r *Reader) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	r.m.preambleCorr.Observe(preCorr)
 
 	// Stage 3: per-symbol MRC (paper Eq. 7).
-	tspMRC := r.trace.Start("mrc")
-	spMRC := r.m.spanMRC.Start()
+	spMRC := r.m.mrc.Start(r.trace)
 	symStart := preEnd
 	sps := tcfg.SamplesPerSymbol()
 	guard := r.cfg.ChannelTaps
@@ -298,17 +285,14 @@ func (r *Reader) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	}
 
 	spMRC.End()
-	tspMRC.End()
 
 	// Stage 4: demap, Viterbi, deframe. The frame's own length header
 	// tells us where the payload symbols end; symbols after the frame
 	// are the tag's post-frame silence and are discarded by the
 	// length-aware decode.
-	tspVit := r.trace.Start("viterbi")
-	spVit := r.m.spanViterbi.Start()
+	spVit := r.m.viterbi.Start(r.trace)
 	payload, used, corrected, frameOK := r.decodeFrame(ests, tcfg)
 	spVit.End()
-	tspVit.End()
 	if frameOK {
 		r.m.viterbiBits.Observe(float64(corrected))
 	} else {

@@ -87,11 +87,9 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	// Stage 1: retrain the reusable canceller on the silent window.
 	tr := r.trace
 	s.canc.SetTrace(tr)
-	tspTrain := tr.Start("sic_train")
-	spTrain := r.m.spanSICTrain.Start()
+	spTrain := r.m.sicTrain.Start(tr)
 	err := s.canc.Retrain(xTap, x, y, packetStart, packetStart+tag.SilentSamples)
 	spTrain.End()
-	tspTrain.End()
 	if err != nil {
 		r.m.failSICTrain.Inc()
 		return nil, fmt.Errorf("reader: %w", err)
@@ -115,27 +113,22 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	if hi > packetEnd {
 		hi = packetEnd
 	}
-	tspCancel := tr.Start("sic_cancel")
-	spCancel := r.m.spanSICCancel.Start()
+	spCancel := r.m.sicCancel.Start(tr)
 	s.clean = s.canc.CancelRange(s.clean, xTap, x, y, packetStart, hi)
 	spCancel.End()
-	tspCancel.End()
 
 	// Stage 2: channel estimation + timing, windowed.
 	pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
-	tspEst := tr.Start("channel_estimate")
-	spEst := r.m.spanChanEst.Start()
+	spEst := r.m.chanEst.Start(tr)
 	err = s.estimateHfbInto(x, s.clean, preStart, pn)
 	spEst.End()
-	tspEst.End()
 	if err != nil {
 		r.m.failChanEst.Inc()
 		return nil, err
 	}
 	s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, packetStart, hi)
 
-	tspTiming := tr.Start("timing_search")
-	spTiming := r.m.spanTiming.Start()
+	spTiming := r.m.timing.Start(tr)
 	offset := 0
 	for pass := 0; pass < 3; pass++ {
 		step := r.searchTiming(s.clean, s.ref, preStart, pn)
@@ -150,7 +143,6 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 		}
 	}
 	spTiming.End()
-	tspTiming.End()
 	if offset != 0 {
 		r.m.timingAdjusted.Inc()
 	}
@@ -168,21 +160,17 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 		return nil, fmt.Errorf("reader: no room for payload symbols")
 	}
 	nHdr := min(headerSyms, nAvail)
-	tspMRC := tr.Start("mrc")
-	spMRC := r.m.spanMRC.Start()
+	spMRC := r.m.mrc.Start(tr)
 	if cap(s.ests) < nAvail {
 		s.ests = make([]complex128, nAvail)
 	}
 	s.mrcInto(symStart, sps, guard, 0, nHdr)
 	spMRC.End()
-	tspMRC.End()
 
 	// Stage 3b: bounded header pass → frame extent.
-	tspVit := tr.Start("viterbi")
-	spVit := r.m.spanViterbi.Start()
+	spVit := r.m.viterbi.Start(tr)
 	used, infoBits, headerOK := s.frameExtent(s.ests[:nHdr], tcfg)
 	spVit.End()
-	tspVit.End()
 	nSyms := used
 	if !headerOK || used > nAvail {
 		// A frame we cannot size (noise, or a length header pointing past
@@ -195,23 +183,18 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	// Extend the processing window to exactly the frame's samples.
 	hi2 := symStart + nSyms*sps
 	if hi2 > hi {
-		tspCancel := tr.Start("sic_cancel")
-		spCancel := r.m.spanSICCancel.Start()
+		spCancel := r.m.sicCancel.Start(tr)
 		s.clean = s.canc.CancelRange(s.clean, xTap, x, y, hi, hi2)
 		s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, hi, hi2)
 		spCancel.End()
-		tspCancel.End()
 	}
-	tspMRC = tr.Start("mrc")
-	spMRC = r.m.spanMRC.Start()
+	spMRC = r.m.mrc.Start(tr)
 	s.mrcInto(symStart, sps, guard, nHdr, nSyms)
 	spMRC.End()
-	tspMRC.End()
 	ests := s.ests[:nSyms]
 
 	// Stage 4: terminated decode over the frame symbols.
-	tspVit = tr.Start("viterbi")
-	spVit = r.m.spanViterbi.Start()
+	spVit = r.m.viterbi.Start(tr)
 	var payload []byte
 	var corrected int
 	frameOK := false
@@ -226,7 +209,6 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 		payload, used, corrected, frameOK = r.decodeFrame(ests, tcfg)
 	}
 	spVit.End()
-	tspVit.End()
 	if frameOK {
 		r.m.viterbiBits.Observe(float64(corrected))
 	} else {

@@ -3,9 +3,13 @@ package reader
 import (
 	"bytes"
 	"math/cmplx"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"backfi/internal/fec"
+	"backfi/internal/obs"
 	"backfi/internal/tag"
 )
 
@@ -134,5 +138,55 @@ func TestStreamDecodeArgumentErrors(t *testing.T) {
 	bad.SymbolRateHz = 0
 	if _, err := st.Decode(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, bad); err == nil {
 		t.Fatal("want tag-config validation error")
+	}
+}
+
+// TestStageParity pins the single-instrumentation contract: the legacy
+// decoder and the streaming decoder time the same stages, and each
+// stage lands under the same name in backfi_stage_duration_seconds and
+// in the frame's trace.
+func TestStageParity(t *testing.T) {
+	sc := buildScene(t, 41, qpskCfg(), 40, -65)
+	stages := func(stream bool) (hist, spans []string) {
+		reg := obs.NewRegistry()
+		tr := obs.NewTracer(obs.TracerConfig{Seed: 1})
+		cfg := DefaultConfig()
+		cfg.Obs = reg
+		rd := mustNew(cfg)
+		rd.SetTrace(tr.Head("parity", 0))
+		decode := rd.Decode
+		if stream {
+			decode = mustStream(t, rd).Decode
+		}
+		if res, err := decode(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, sc.tcfg); err != nil || !res.FrameOK {
+			t.Fatalf("stream=%v: decode failed: %v", stream, err)
+		}
+		snap := reg.Snapshot()
+		for _, h := range snap.Histograms {
+			if h.Name == obs.MetricStageDuration && h.Count > 0 {
+				hist = append(hist, strings.TrimSuffix(strings.TrimPrefix(h.Labels, `{stage="`), `"}`))
+			}
+		}
+		seen := map[string]bool{}
+		for _, ev := range tr.Events() {
+			if !seen[ev.Name] {
+				seen[ev.Name] = true
+				spans = append(spans, ev.Name)
+			}
+		}
+		sort.Strings(hist)
+		sort.Strings(spans)
+		return hist, spans
+	}
+	legacyHist, legacySpans := stages(false)
+	streamHist, streamSpans := stages(true)
+	want := []string{"channel_estimate", "mrc", "sic_analog_train", "sic_cancel", "sic_digital_train", "sic_train", "timing_search", "viterbi"}
+	for name, got := range map[string][]string{
+		"legacy histogram": legacyHist, "legacy trace": legacySpans,
+		"stream histogram": streamHist, "stream trace": streamSpans,
+	} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s stages = %v, want %v", name, got, want)
+		}
 	}
 }

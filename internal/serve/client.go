@@ -27,6 +27,10 @@ var (
 	ErrClientClosed = errors.New("serve: client closed")
 )
 
+// clientSend times a sampled frame's whole exchange on the client side
+// (trace-only: the client keeps no histograms).
+var clientSend = obs.NewStage("client_send", nil)
+
 // ClientConfig tunes the self-healing client. The zero value
 // reproduces the original fragile client: no I/O deadlines, no
 // reconnection, no circuit breaking.
@@ -485,9 +489,9 @@ func (c *Client) do(req *Request) (*Response, error) {
 		tctx = c.cfg.Tracer.Head(req.Session, n)
 		req.Trace = tctx.ID()
 	}
-	tsp := tctx.Start("client_send")
+	sp := clientSend.Start(tctx)
 	resp, err := c.doLocked(req)
-	tsp.End()
+	sp.End()
 	c.breakerRecord(cs, req.Session, err != nil || resp.Code == CodeError)
 	if err == nil && resp.Handoff != nil {
 		// Cache the session's latest portable snapshot (Config.Handoff

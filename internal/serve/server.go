@@ -297,12 +297,13 @@ type job struct {
 	deadline time.Time // zero = none
 	// tctx is the job's trace context. Dispatch sets it from the
 	// request's propagated id; serveJob may upgrade a zero ctx via head
-	// sampling, and the connection handler reads it back after the
-	// response channel receive (the channel send orders the write).
+	// sampling, and dispatch reads it back after the response channel
+	// receive (the channel send orders the write).
 	tctx obs.TraceCtx
-	// batchStart is when the job's shard batch began processing,
-	// stamped only when tracing is configured (zero otherwise).
-	batchStart time.Time
+	// batchStart is when the job's shard batch began processing and
+	// served when serveJob took the job up: the ends of its queue_wait
+	// and batch stages (Server.clock stamps; zero when untimed).
+	batchStart, served time.Time
 	// resp is buffered (cap 1): serveJob never blocks on a slow or
 	// vanished connection handler.
 	resp chan Response
@@ -477,11 +478,9 @@ func (sh *shard) collect(first *job) []*job {
 func (sh *shard) process(batch []*job) {
 	sh.depthG.Set(float64(sh.depth.Add(-int64(len(batch)))))
 	sh.srv.m.batchJobs.Observe(float64(len(batch)))
-	if sh.srv.cfg.Tracer != nil {
-		now := time.Now()
-		for _, j := range batch {
-			j.batchStart = now
-		}
+	now := sh.srv.clock()
+	for _, j := range batch {
+		j.batchStart = now
 	}
 	order := make([]string, 0, len(batch))
 	bySess := make(map[string][]*job, len(batch))
@@ -845,7 +844,7 @@ func (sh *shard) serveJob(st *sessionState, j *job) {
 			j.respond(Response{Code: CodeError, Error: fmt.Sprintf("serve: decode panic: %v", r), Session: j.session})
 		}
 	}()
-	m.stageWait.Observe(time.Since(j.enqueued).Seconds())
+	j.served = sh.srv.clock()
 	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
 		// Deadline rejection happens before the job touches session
 		// state, so a timed-out job never perturbs the session's
@@ -892,31 +891,8 @@ func (sh *shard) serveJob(st *sessionState, j *job) {
 				return
 			}
 		}
-		// Resolve the job's trace context: a propagated client id wins;
-		// otherwise head-sample deterministically on (session id, offered
-		// frame index) — the same decision a tracing client at the same
-		// frame would make, so sampled traces line up end to end. With no
-		// tracer configured tctx stays zero and nothing below reads a
-		// clock for tracing.
-		tctx := j.tctx
-		if cfg.Tracer != nil {
-			if !tctx.Enabled() {
-				tctx = cfg.Tracer.Head(j.session, st.sess.Stats.FramesOffered)
-			}
-			j.tctx = tctx
-			if tctx.Enabled() {
-				// The queue-wait and batch stages ended before the sampling
-				// decision existed; record them retroactively.
-				now := time.Now()
-				if !j.batchStart.IsZero() {
-					tctx.Record("queue_wait", j.enqueued, j.batchStart.Sub(j.enqueued))
-					tctx.Record("batch", j.batchStart, now.Sub(j.batchStart))
-				} else {
-					tctx.Record("queue_wait", j.enqueued, now.Sub(j.enqueued))
-				}
-			}
-			st.sess.SetTrace(tctx)
-		}
+		tctx := sh.traceJob(j, st.sess.Stats.FramesOffered)
+		st.sess.SetTrace(tctx)
 		// Scripted chaos: cross any timeline steps due at this frame
 		// index before the exchange. The index is the session's own
 		// offered-frame count, so the script lands on the same frames
@@ -933,12 +909,10 @@ func (sh *shard) serveJob(st *sessionState, j *job) {
 			sh.srv.cfg.Flight.Record(obs.FlightFaultSwitch, j.session,
 				fmt.Sprintf("timeline step %d at frame %d", st.timelineCur, st.sess.Stats.FramesOffered), tctx.ID())
 		}
-		tsp := tctx.Start("decode")
-		sp := m.stageDecode.Start()
+		sp := m.decode.Start(tctx)
 		before := st.sess.Stats
 		res, delivered, err := st.sess.Send(j.payload)
 		sp.End()
-		tsp.End()
 		if err != nil {
 			m.jobsError.Inc()
 			sh.srv.cfg.SLO.Record(false, time.Since(j.enqueued).Seconds())
@@ -1008,28 +982,11 @@ func (sh *shard) serveJob(st *sessionState, j *job) {
 				Error: fmt.Sprintf("serve: slot carries %d payloads; session group size was fixed at %d by its first mdecode", got, want)})
 			return
 		}
-		tctx := j.tctx
-		if cfg.Tracer != nil {
-			if !tctx.Enabled() {
-				tctx = cfg.Tracer.Head(j.session, st.multi.Stats.SlotsOffered)
-			}
-			j.tctx = tctx
-			if tctx.Enabled() {
-				now := time.Now()
-				if !j.batchStart.IsZero() {
-					tctx.Record("queue_wait", j.enqueued, j.batchStart.Sub(j.enqueued))
-					tctx.Record("batch", j.batchStart, now.Sub(j.batchStart))
-				} else {
-					tctx.Record("queue_wait", j.enqueued, now.Sub(j.enqueued))
-				}
-			}
-			st.multi.SetTrace(tctx)
-		}
-		tsp := tctx.Start("decode")
-		sp := m.stageDecode.Start()
+		tctx := sh.traceJob(j, st.multi.Stats.SlotsOffered)
+		st.multi.SetTrace(tctx)
+		sp := m.decode.Start(tctx)
 		res, err := st.multi.SendSlot(j.payloads)
 		sp.End()
-		tsp.End()
 		if err != nil {
 			m.jobsError.Inc()
 			sh.srv.cfg.SLO.Record(false, time.Since(j.enqueued).Seconds())
@@ -1064,6 +1021,19 @@ func (sh *shard) serveJob(st *sessionState, j *job) {
 	}
 }
 
+// traceJob resolves a decode job's trace context and stores it on the
+// job: a propagated client id wins; otherwise the server head-samples
+// deterministically on (session id, frame index) — the decision a
+// tracing client makes at the same frame, so sampled traces line up
+// end to end. Without a tracer the context stays zero and no stage
+// reads a clock for tracing.
+func (sh *shard) traceJob(j *job, frame int) obs.TraceCtx {
+	if t := sh.srv.cfg.Tracer; t != nil && !j.tctx.Enabled() {
+		j.tctx = t.Head(j.session, frame)
+	}
+	return j.tctx
+}
+
 // sessionSeed hashes a session id into its seed offset.
 func sessionSeed(id string) int64 {
 	h := fnv.New64a()
@@ -1071,8 +1041,8 @@ func sessionSeed(id string) int64 {
 	return int64(h.Sum64())
 }
 
-// serverMetrics caches the serving instruments; all fields are nil
-// (no-op) without a registry.
+// serverMetrics caches the serving instruments. Without a registry
+// every instrument is nil (no-op) and the stages time only trace spans.
 type serverMetrics struct {
 	jobsAdmitted *obs.Counter
 	jobsRejFull  *obs.Counter
@@ -1081,8 +1051,6 @@ type serverMetrics struct {
 	jobsDone     *obs.Counter
 	jobsError    *obs.Counter
 	jobsPanic    *obs.Counter
-	stageWait    *obs.Histogram
-	stageDecode  *obs.Histogram
 	batchJobs    *obs.Histogram
 	sessions     *obs.Gauge
 	evictions    *obs.Counter
@@ -1098,29 +1066,43 @@ type serverMetrics struct {
 	darkAsleep   *obs.Counter
 	darkBackoff  *obs.Counter
 
-	// Wire-protocol instruments, one per negotiated protocol.
-	connsJSON, connsBin    *obs.Counter
-	wireRxJSON, wireTxJSON *obs.Counter
-	wireRxBin, wireTxBin   *obs.Counter
-	encJSON, decJSON       *obs.Histogram
-	encBin, decBin         *obs.Histogram
+	// The serve stages of one request, in order: the connection read
+	// (through request decode), shard-queue wait, batch wait, the
+	// session's decode, and the response write.
+	connRead, queueWait, batch, decode, respWrite obs.Stage
+
+	// Wire-protocol instruments, one set per negotiated protocol.
+	json, bin protoMetrics
+}
+
+// protoMetrics are one wire protocol's instruments: accepted
+// connections, bytes each way, and the per-frame codec stages.
+type protoMetrics struct {
+	conns, rx, tx        *obs.Counter
+	decodeReq, encodeRes obs.Stage
 }
 
 func newServerMetrics(r *obs.Registry) serverMetrics {
-	if r == nil {
-		return serverMetrics{}
-	}
 	outcome := func(name string) *obs.Counter {
 		return r.Counter(obs.MetricServeJobs, "Decode-job admission outcomes.", "outcome", name)
 	}
-	stage := func(name string) *obs.Histogram {
-		return r.Histogram(obs.MetricServeJobStage, "Per-stage serving latency.", obs.LatencyBuckets, "stage", name)
+	stage := func(name string) obs.Stage {
+		return obs.NewStage(name, r.Histogram(obs.MetricServeJobStage, "Per-stage serving latency.", obs.LatencyBuckets, "stage", name))
 	}
-	wire := func(dir, proto string) *obs.Counter {
-		return r.Counter(obs.MetricServeWireBytes, "Bytes on the serve wire, by direction and protocol.", "dir", dir, "proto", proto)
-	}
-	codec := func(op, proto string) *obs.Histogram {
-		return r.Histogram(obs.MetricServeFrameCodec, "Per-frame encode/decode latency by protocol.", obs.LatencyBuckets, "op", op, "proto", proto)
+	proto := func(proto string) protoMetrics {
+		wire := func(dir string) *obs.Counter {
+			return r.Counter(obs.MetricServeWireBytes, "Bytes on the serve wire, by direction and protocol.", "dir", dir, "proto", proto)
+		}
+		codec := func(op string) obs.Stage {
+			return obs.NewStage("frame_"+op, r.Histogram(obs.MetricServeFrameCodec, "Per-frame encode/decode latency by protocol.", obs.LatencyBuckets, "op", op, "proto", proto))
+		}
+		return protoMetrics{
+			conns:     r.Counter(obs.MetricServeConnsProto, "Accepted connections by negotiated protocol.", "proto", proto),
+			rx:        wire("rx"),
+			tx:        wire("tx"),
+			decodeReq: codec("decode"),
+			encodeRes: codec("encode"),
+		}
 	}
 	return serverMetrics{
 		jobsAdmitted: outcome("admitted"),
@@ -1130,8 +1112,6 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		jobsDone:     outcome("done"),
 		jobsError:    outcome("error"),
 		jobsPanic:    outcome("panic"),
-		stageWait:    stage("queue_wait"),
-		stageDecode:  stage("decode"),
 		batchJobs:    r.Histogram(obs.MetricServeBatchJobs, "Jobs per shard batch.", obs.LinBuckets(1, 1, 32)),
 		sessions:     r.Gauge(obs.MetricServeSessions, "Live reader sessions."),
 		evictions:    r.Counter(obs.MetricServeEvictions, "Idle sessions reclaimed by the per-shard TTL sweep."),
@@ -1147,16 +1127,14 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		darkAsleep:   r.Counter(obs.MetricServeDarkPolls, "Polls answered tag_dark without spending a decode, by reason.", "reason", "asleep"),
 		darkBackoff:  r.Counter(obs.MetricServeDarkPolls, "Polls answered tag_dark without spending a decode, by reason.", "reason", "backoff"),
 
-		connsJSON:  r.Counter(obs.MetricServeConnsProto, "Accepted connections by negotiated protocol.", "proto", "json"),
-		connsBin:   r.Counter(obs.MetricServeConnsProto, "Accepted connections by negotiated protocol.", "proto", "binary"),
-		wireRxJSON: wire("rx", "json"),
-		wireTxJSON: wire("tx", "json"),
-		wireRxBin:  wire("rx", "binary"),
-		wireTxBin:  wire("tx", "binary"),
-		encJSON:    codec("encode", "json"),
-		decJSON:    codec("decode", "json"),
-		encBin:     codec("encode", "binary"),
-		decBin:     codec("decode", "binary"),
+		connRead:  stage("conn_read"),
+		queueWait: stage("queue_wait"),
+		batch:     stage("batch"),
+		decode:    stage("decode"),
+		respWrite: stage("resp_write"),
+
+		json: proto("json"),
+		bin:  proto("binary"),
 	}
 }
 
@@ -1187,6 +1165,19 @@ type Server struct {
 	pool *core.SlotPool
 
 	m serverMetrics
+	// timed is whether any serve stage is live (a registry or a
+	// tracer); see clock.
+	timed bool
+}
+
+// clock stamps a serve-stage boundary that precedes the frame's trace
+// decision. It reads the clock only when some stage is live and is the
+// zero time otherwise, which every stage ignores.
+func (s *Server) clock() time.Time {
+	if s.timed {
+		return time.Now()
+	}
+	return time.Time{}
 }
 
 // NewServer validates the configuration and builds a daemon. Call
@@ -1203,6 +1194,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		conns: map[net.Conn]struct{}{},
 		m:     newServerMetrics(cfg.Obs),
+		timed: cfg.Obs != nil || cfg.Tracer != nil,
 		pool:  core.NewSlotPool(cfg.Link.Seed),
 	}
 	// The ladder is a pure function of the template's preamble/id, so
@@ -1281,10 +1273,11 @@ func (s *Server) acceptLoop() {
 // connections. A panic anywhere in the handler is isolated to this
 // connection.
 //
-// The first byte picks the protocol: 'B' (0x42) opens the binary
+// The first byte picks the codec: 'B' (0x42) opens the binary
 // negotiation preamble, anything else — in practice 0x00, the high
 // byte of a JSON frame's big-endian length — serves the legacy JSON
-// stream byte-identically.
+// stream byte-identically. JSON stays a full codec because legacy
+// peers and the faulted serving workload speak it (DESIGN.md §5h).
 func (s *Server) handleConn(c net.Conn) {
 	defer s.connWg.Done()
 	defer func() {
@@ -1303,165 +1296,154 @@ func (s *Server) handleConn(c net.Conn) {
 	if err != nil {
 		return
 	}
-	if first[0] == binPreamble[0] {
-		s.serveBinary(br, bw)
+	if first[0] != binPreamble[0] {
+		s.serveFrames(br, bw, &wireCodec{m: &s.m.json})
 		return
 	}
-	s.serveJSON(br, bw)
+	if negotiateBinary(br, bw) {
+		s.serveFrames(br, bw, &wireCodec{m: &s.m.bin, binary: true})
+	}
 }
 
-// serveJSON is the legacy request loop, unchanged on the wire: the
-// only structural difference from the original handler is that frame
-// bodies land in one bounded reused buffer per connection instead of
-// a fresh allocation per frame.
-func (s *Server) serveJSON(br *bufio.Reader, bw *bufio.Writer) {
-	s.m.connsJSON.Inc()
-	fr := &frameReader{br: br}
-	traced := s.cfg.Tracer != nil
-	for {
-		var readStart time.Time
-		if traced {
-			readStart = time.Now()
+// negotiateBinary validates the client's negotiation preamble and
+// echoes the server's own (the version handshake). The echo goes out
+// whether or not the versions match: the client reads it and decides.
+// On skew it reports false and the connection closes after the echo,
+// so the client surfaces a version error rather than a framing one.
+func negotiateBinary(br *bufio.Reader, bw *bufio.Writer) bool {
+	var pre [4]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil {
+		return false
+	}
+	if pre[0] != binPreamble[0] || pre[1] != binPreamble[1] || pre[2] != binPreamble[2] {
+		return false
+	}
+	if _, err := bw.Write(binPreamble[:]); err != nil {
+		return false
+	}
+	if err := bw.Flush(); err != nil {
+		return false
+	}
+	return pre[3] == binVersion
+}
+
+// wireCodec is one negotiated protocol's half of a connection: the
+// byte order of the frame length header (binary little-endian, JSON
+// big-endian), the request decoder and the response frame encoder.
+// Everything else about a connection is the shared frame loop's
+// (serveFrames). The codecs are picked by a branch rather than a func
+// value so the response passed to encode stays on the loop's stack.
+type wireCodec struct {
+	m      *protoMetrics
+	binary bool
+	names  internTable // binary: the connection's session-id intern table
+}
+
+// decode parses one frame body into req, overwriting every field.
+func (wc *wireCodec) decode(body []byte, req *Request) error {
+	if wc.binary {
+		return decodeRequestBinary(body, req, &wc.names)
+	}
+	*req = Request{}
+	if err := json.Unmarshal(body, req); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return nil
+}
+
+// encode appends resp to dst as one complete frame, length header
+// included (the JSON frame is the one WriteFrame writes).
+func (wc *wireCodec) encode(dst []byte, resp *Response) ([]byte, error) {
+	if wc.binary {
+		b, err := appendResponseBinary(append(dst, 0, 0, 0, 0), resp)
+		if err != nil {
+			return dst, err
 		}
+		finishBinaryFrame(b[len(dst):])
+		return b, nil
+	}
+	body, err := json.Marshal(*resp)
+	if err != nil {
+		return dst, err
+	}
+	if len(body) > MaxFrameBytes {
+		return dst, fmt.Errorf("serve: frame of %d bytes exceeds cap %d", len(body), MaxFrameBytes)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
+	return append(dst, body...), nil
+}
+
+// serveFrames is the request loop of one connection, whichever codec
+// it negotiated. The request struct, the frame read buffer and the
+// pooled response buffer are reused across frames, so with the binary
+// codec steady state decodes and encodes without heap allocation.
+// Payload aliasing is safe because dispatch blocks until the job has
+// answered — the next frame is not read while a job still references
+// the read buffer.
+//
+// Every wire stage is timed here once: conn_read (from the wait for
+// the frame through request decode; recorded after dispatch, because
+// the trace decision comes later), resp_write, the codec stages and
+// the wire byte counters.
+func (s *Server) serveFrames(br *bufio.Reader, bw *bufio.Writer, wc *wireCodec) {
+	pm := wc.m
+	pm.conns.Inc()
+	fr := &frameReader{br: br, le: wc.binary}
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	var req Request
+	for {
+		readStart := s.clock()
 		body, err := fr.read()
+		if err == nil {
+			pm.rx.Add(int64(len(body)) + 4)
+			sp := pm.decodeReq.Start(obs.TraceCtx{})
+			err = wc.decode(body, &req)
+			sp.End()
+		}
 		if err != nil {
 			// A malformed-but-framed request gets a typed answer before
 			// the connection drops; transport errors (EOF) just close.
 			if errors.Is(err, ErrBadRequest) {
-				_ = WriteFrame(bw, Response{Code: CodeBadRequest, Error: err.Error()})
-				_ = bw.Flush()
+				if b, eerr := wc.encode((*buf)[:0], &Response{Code: CodeBadRequest, Error: err.Error()}); eerr == nil {
+					_ = writeFrame(bw, b, obs.StageSpan{})
+				}
 			}
 			return
 		}
-		s.m.wireRxJSON.Add(int64(len(body)) + 4)
-		var req Request
-		t0 := time.Now()
-		uerr := json.Unmarshal(body, &req)
-		s.m.decJSON.Observe(time.Since(t0).Seconds())
-		if uerr != nil {
-			_ = WriteFrame(bw, Response{Code: CodeBadRequest, Error: fmt.Sprintf("%v: %v", ErrBadRequest, uerr)})
-			_ = bw.Flush()
-			return
-		}
-		var readDur time.Duration
-		if traced {
-			readDur = time.Since(readStart)
-		}
+		readDur := s.clock().Sub(readStart)
 		resp, tctx := s.dispatchCtx(&req)
-		// The read span predates the sampling decision; record it
-		// retroactively against the job's resolved context.
-		tctx.Record("conn_read", readStart, readDur)
-		wsp := tctx.Start("resp_write")
-		t0 = time.Now()
-		wb, err := json.Marshal(resp)
-		s.m.encJSON.Observe(time.Since(t0).Seconds())
-		if err != nil || len(wb) > MaxFrameBytes {
+		s.m.connRead.Record(tctx, readStart, readDur)
+		wsp := s.m.respWrite.Start(tctx)
+		sp := pm.encodeRes.Start(obs.TraceCtx{})
+		b, err := wc.encode((*buf)[:0], &resp)
+		sp.End()
+		if err != nil {
 			return
 		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(wb)))
-		if _, err := bw.Write(hdr[:]); err != nil {
+		*buf = b
+		if err := writeFrame(bw, b, wsp); err != nil {
 			return
 		}
-		if _, err := bw.Write(wb); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		wsp.End()
-		s.m.wireTxJSON.Add(int64(len(wb)) + 4)
+		pm.tx.Add(int64(len(b)))
 	}
 }
 
-// serveBinary validates the negotiation preamble, echoes the server's
-// own (the version handshake), and serves binary frames. The request
-// struct, its payload buffer, the frame read buffer, and the session
-// intern table are all reused across the connection's frames: steady
-// state decodes and encodes without heap allocation. Payload aliasing
-// is safe because dispatch blocks until the job answered — the next
-// frame is not read while a job still references the buffer.
-func (s *Server) serveBinary(br *bufio.Reader, bw *bufio.Writer) {
-	var pre [4]byte
-	if _, err := io.ReadFull(br, pre[:]); err != nil {
-		return
+// writeFrame writes one non-empty frame and flushes it, ending sp while
+// the frame's last byte is still in bw: the span is recorded before
+// the peer can see a complete frame (and, in-process, read the
+// tracer). A one-byte WriteByte always lands in the buffer — it
+// flushes a full buffer first — even after a frame larger than the
+// buffer went straight through to the connection.
+func writeFrame(bw *bufio.Writer, frame []byte, sp obs.StageSpan) error {
+	if _, err := bw.Write(frame[:len(frame)-1]); err != nil {
+		return err
 	}
-	if pre[0] != binPreamble[0] || pre[1] != binPreamble[1] || pre[2] != binPreamble[2] {
-		return
+	if err := bw.WriteByte(frame[len(frame)-1]); err != nil {
+		return err
 	}
-	// Echo our preamble whether or not the versions match: the client
-	// reads it and decides. On skew we close after the echo — the
-	// client surfaces a version error rather than a framing one.
-	if _, err := bw.Write(binPreamble[:]); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		return
-	}
-	if pre[3] != binVersion {
-		return
-	}
-	s.m.connsBin.Inc()
-	fr := &frameReader{br: br, le: true}
-	var names internTable
-	var req Request
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	fail := func(err error) {
-		b := append((*buf)[:0], 0, 0, 0, 0)
-		b, eerr := appendResponseBinary(b, &Response{Code: CodeBadRequest, Error: err.Error()})
-		if eerr != nil {
-			return
-		}
-		*buf = b
-		_, _ = bw.Write(finishBinaryFrame(b))
-		_ = bw.Flush()
-	}
-	traced := s.cfg.Tracer != nil
-	for {
-		var readStart time.Time
-		if traced {
-			readStart = time.Now()
-		}
-		body, err := fr.read()
-		if err != nil {
-			if errors.Is(err, ErrBadRequest) {
-				fail(err)
-			}
-			return
-		}
-		s.m.wireRxBin.Add(int64(len(body)) + 4)
-		t0 := time.Now()
-		derr := decodeRequestBinary(body, &req, &names)
-		s.m.decBin.Observe(time.Since(t0).Seconds())
-		if derr != nil {
-			fail(derr)
-			return
-		}
-		var readDur time.Duration
-		if traced {
-			readDur = time.Since(readStart)
-		}
-		resp, tctx := s.dispatchCtx(&req)
-		tctx.Record("conn_read", readStart, readDur)
-		wsp := tctx.Start("resp_write")
-		b := append((*buf)[:0], 0, 0, 0, 0)
-		t0 = time.Now()
-		b, eerr := appendResponseBinary(b, &resp)
-		s.m.encBin.Observe(time.Since(t0).Seconds())
-		if eerr != nil {
-			return
-		}
-		*buf = b
-		if _, err := bw.Write(finishBinaryFrame(b)); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		wsp.End()
-		s.m.wireTxBin.Add(int64(len(b)))
-	}
+	sp.End()
+	return bw.Flush()
 }
 
 // dispatch validates one request, admits it to its session's shard,
@@ -1473,8 +1455,11 @@ func (s *Server) dispatch(req *Request) Response {
 
 // dispatchCtx is dispatch plus the job's resolved trace context, read
 // back after the response-channel receive (which orders serveJob's
-// head-sampling write). Connection handlers use it to attach their
-// conn_read / resp_write spans to the same trace.
+// head-sampling write). The job's queue_wait (enqueue → batch start)
+// and batch (batch start → serveJob) stages ended before that decision
+// existed, so they are recorded here, retroactively; connection
+// handlers use the returned context for their conn_read / resp_write
+// stages.
 func (s *Server) dispatchCtx(req *Request) (Response, obs.TraceCtx) {
 	tctx := s.cfg.Tracer.Join(req.Trace)
 	switch req.Op {
@@ -1548,6 +1533,12 @@ func (s *Server) dispatchCtx(req *Request) (Response, obs.TraceCtx) {
 	}
 	s.m.jobsAdmitted.Inc()
 	resp := <-j.resp
+	// served is zero when untimed or when the job failed with its
+	// session and serveJob never took it up.
+	if !j.served.IsZero() {
+		s.m.queueWait.Record(j.tctx, j.enqueued, j.batchStart.Sub(j.enqueued))
+		s.m.batch.Record(j.tctx, j.batchStart, j.served.Sub(j.batchStart))
+	}
 	return resp, j.tctx
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -383,4 +384,77 @@ func TestMultiDecodeHeadSampling(t *testing.T) {
 			t.Fatalf("sampled client_send trace ids = %v, want %v", ids, want)
 		}
 	})
+}
+
+// spanProbe stands in for a connection: it notes whether the span was
+// already in the tracer at the write that completed the frame.
+type spanProbe struct {
+	tr        *obs.Tracer
+	n, total  int
+	spanAtEnd bool
+}
+
+func (p *spanProbe) Write(b []byte) (int, error) {
+	p.n += len(b)
+	if p.n == p.total {
+		_, spans, _ := p.tr.Stats()
+		p.spanAtEnd = spans > 0
+	}
+	return len(b), nil
+}
+
+// TestWriteFrameEndsSpanBeforeLastByte pins the resp_write fix at the
+// writer: whether the frame fits the buffer, fills it exactly, or is
+// large enough that bufio passes it straight through, the span is
+// recorded before the frame's last byte reaches the connection.
+func TestWriteFrameEndsSpanBeforeLastByte(t *testing.T) {
+	const bufSize = 16
+	for _, size := range []int{1, 10, bufSize, bufSize + 1, 5 * bufSize} {
+		tr := obs.NewTracer(obs.TracerConfig{Seed: 1})
+		p := &spanProbe{tr: tr, total: size}
+		sp := obs.NewStage("resp_write", nil).Start(tr.Head("w", 0))
+		if err := writeFrame(bufio.NewWriterSize(p, bufSize), bytes.Repeat([]byte{7}, size), sp); err != nil {
+			t.Fatal(err)
+		}
+		if p.n != size || !p.spanAtEnd {
+			t.Errorf("%d-byte frame: wrote %d bytes, span recorded before the last byte: %v", size, p.n, p.spanAtEnd)
+		}
+	}
+}
+
+// TestServeStagesMatchTrace pins the one-call-per-stage contract on the
+// serve path, for both codecs: each serve stage of a traced frame lands
+// once in backfi_serve_job_stage_seconds and once in the trace, with
+// the same duration, so the two sinks agree on every interval
+// (queue_wait ends at the batch start in both).
+func TestServeStagesMatchTrace(t *testing.T) {
+	for _, proto := range []string{"json", "binary"} {
+		t.Run(proto, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			tracer := obs.NewTracer(obs.TracerConfig{Seed: 3})
+			srv := startCacheServer(t, Config{Shards: 1, SessionCache: true, Obs: reg, Tracer: tracer})
+			c, err := DialClient(ClientConfig{Addr: srv.Addr(), Proto: proto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Decode("stages", bytes.Repeat([]byte{1}, 24)); err != nil {
+				t.Fatal(err)
+			}
+			spans := map[string][]int64{}
+			for _, ev := range tracer.Events() {
+				spans[ev.Name] = append(spans[ev.Name], ev.Dur)
+			}
+			snap := reg.Snapshot()
+			for _, stage := range []string{"conn_read", "queue_wait", "batch", "decode", "resp_write"} {
+				h, ok := snap.Histogram(obs.MetricServeJobStage, `{stage="`+stage+`"}`)
+				if !ok || h.Count != 1 || len(spans[stage]) != 1 {
+					t.Fatalf("%s: histogram present %v count %d, spans %v; want one of each", stage, ok, h.Count, spans[stage])
+				}
+				if want := time.Duration(spans[stage][0]).Seconds(); h.Sum != want {
+					t.Errorf("%s: histogram %v s, span %v s", stage, h.Sum, want)
+				}
+			}
+		})
+	}
 }

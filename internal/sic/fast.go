@@ -29,6 +29,7 @@ import (
 // and sessions are serialized per shard.
 type Reusable struct {
 	cfg     Config
+	m       Metrics
 	analog  []complex128
 	digital []complex128
 	report  Report
@@ -47,6 +48,7 @@ func NewReusable(cfg Config) (*Reusable, error) {
 	}
 	return &Reusable{
 		cfg:     cfg,
+		m:       NewMetrics(cfg.Obs),
 		analog:  make([]complex128, cfg.AnalogTaps),
 		digital: make([]complex128, cfg.DigitalTaps),
 	}, nil
@@ -70,7 +72,7 @@ func (c *Reusable) Retrain(xTap, xIdeal, y []complex128, start, stop int) error 
 
 	work := y
 	if cfg.AnalogTaps > 0 {
-		tsp := cfg.Trace.Start("sic_analog_train")
+		sp := c.m.analogTrain.Start(cfg.Trace)
 		hA, err := linalg.ToeplitzLSFast(&c.wsA, xTap, y, cfg.AnalogTaps, start, stop, cfg.Lambda)
 		if err != nil {
 			return fmt.Errorf("sic: analog estimate: %w", err)
@@ -86,12 +88,12 @@ func (c *Reusable) Retrain(xTap, xIdeal, y []complex128, start, stop int) error 
 		}
 		work = c.work
 		c.report.AfterAnalogDBm = dsp.DBm(dsp.Power(work[start:stop]))
-		tsp.End()
+		sp.End()
 	} else {
 		c.report.AfterAnalogDBm = c.report.BeforeDBm
 	}
 
-	tsp := cfg.Trace.Start("sic_digital_train")
+	sp := c.m.digitalTrain.Start(cfg.Trace)
 	hD, err := linalg.ToeplitzLSFast(&c.wsD, xIdeal, work, cfg.DigitalTaps, start, stop, cfg.Lambda)
 	if err != nil {
 		return fmt.Errorf("sic: digital estimate: %w", err)
@@ -105,7 +107,7 @@ func (c *Reusable) Retrain(xTap, xIdeal, y []complex128, start, stop int) error 
 	}
 	c.report.AfterDBm = dsp.DBm(pw / float64(stop-start))
 	c.report.CancellationDB = c.report.BeforeDBm - c.report.AfterDBm
-	tsp.End()
+	sp.End()
 	return nil
 }
 

@@ -130,6 +130,31 @@ type Canceller struct {
 // the digital stage uses. In an ideal-hardware simulation the two may
 // be the same slice.
 func Train(cfg Config, xTap, xIdeal, y []complex128, start, stop int) (*Canceller, error) {
+	return NewMetrics(cfg.Obs).Train(cfg, xTap, xIdeal, y, start, stop)
+}
+
+// Metrics are the canceller's instruments — the two training stages
+// (sic_analog_train, sic_digital_train) and the residual/depth
+// histograms — resolved once against a registry, so a decoder that
+// trains every frame does no registry lookups.
+type Metrics struct {
+	analogTrain, digitalTrain obs.Stage
+	residual, cancellation    *obs.Histogram
+}
+
+// NewMetrics resolves the canceller's instruments against r (nil =
+// trace-only stages, no histograms).
+func NewMetrics(r *obs.Registry) Metrics {
+	return Metrics{
+		analogTrain:  r.Stage("sic_analog_train"),
+		digitalTrain: r.Stage("sic_digital_train"),
+		residual:     r.Histogram(obs.MetricSICResidual, "Post-cancellation floor in dBm over the training window.", obs.DBBuckets),
+		cancellation: r.Histogram(obs.MetricSICCancellation, "Total self-interference suppression in dB.", obs.DBBuckets),
+	}
+}
+
+// Train is the package-level Train with m's instruments.
+func (m Metrics) Train(cfg Config, xTap, xIdeal, y []complex128, start, stop int) (*Canceller, error) {
 	if cfg.DigitalTaps <= 0 {
 		return nil, fmt.Errorf("sic: digital stage is required (DigitalTaps=%d)", cfg.DigitalTaps)
 	}
@@ -141,8 +166,7 @@ func Train(cfg Config, xTap, xIdeal, y []complex128, start, stop int) (*Cancelle
 
 	work := y
 	if cfg.AnalogTaps > 0 {
-		tsp := cfg.Trace.Start("sic_analog_train")
-		sp := cfg.Obs.Histogram(obs.MetricStageDuration, obs.HelpStageDuration, obs.DurationBuckets, "stage", "sic_analog_train").Start()
+		sp := m.analogTrain.Start(cfg.Trace)
 		hA, err := linalg.ToeplitzLS(xTap, y, cfg.AnalogTaps, start, stop, cfg.Lambda)
 		if err != nil {
 			return nil, fmt.Errorf("sic: analog estimate: %w", err)
@@ -152,13 +176,11 @@ func Train(cfg Config, xTap, xIdeal, y []complex128, start, stop int) (*Cancelle
 		work = dsp.Sub(y, c.scratch)
 		c.report.AfterAnalogDBm = dsp.DBm(dsp.Power(work[start:stop]))
 		sp.End()
-		tsp.End()
 	} else {
 		c.report.AfterAnalogDBm = c.report.BeforeDBm
 	}
 
-	tsp := cfg.Trace.Start("sic_digital_train")
-	sp := cfg.Obs.Histogram(obs.MetricStageDuration, obs.HelpStageDuration, obs.DurationBuckets, "stage", "sic_digital_train").Start()
+	sp := m.digitalTrain.Start(cfg.Trace)
 	hD, err := linalg.ToeplitzLS(xIdeal, work, cfg.DigitalTaps, start, stop, cfg.Lambda)
 	if err != nil {
 		return nil, fmt.Errorf("sic: digital estimate: %w", err)
@@ -169,13 +191,12 @@ func Train(cfg Config, xTap, xIdeal, y []complex128, start, stop int) (*Cancelle
 	c.report.AfterDBm = dsp.DBm(dsp.Power(resid))
 	c.report.CancellationDB = c.report.BeforeDBm - c.report.AfterDBm
 	sp.End()
-	tsp.End()
 
 	// Canceller health: the residual floor is the paper's Fig. 7
 	// quantity (≈ thermal floor when cancellation works), and the
 	// achieved depth is its ≈78–80 dB headline.
-	cfg.Obs.Histogram(obs.MetricSICResidual, "Post-cancellation floor in dBm over the training window.", obs.DBBuckets).Observe(c.report.AfterDBm)
-	cfg.Obs.Histogram(obs.MetricSICCancellation, "Total self-interference suppression in dB.", obs.DBBuckets).Observe(c.report.CancellationDB)
+	m.residual.Observe(c.report.AfterDBm)
+	m.cancellation.Observe(c.report.CancellationDB)
 	return c, nil
 }
 
