@@ -109,18 +109,26 @@ func (r CodeRate) Fraction() float64 {
 	panic("fec: unknown code rate")
 }
 
+// Keep-masks over mother-code output bits, one puncture period each,
+// matching IEEE 802.11-2012 Sec. 18.3.5.6. Shared; never modified.
+var (
+	keep12 = []bool{true, true}
+	// A1 B1 A2 (B2 stolen): keep, keep, keep, drop.
+	keep23 = []bool{true, true, true, false}
+	// A1 B1 B2 A3 (A2, B3 stolen).
+	keep34 = []bool{true, true, false, true, true, false}
+)
+
 // puncturePattern returns the keep-mask over mother-code output bits
-// (period = len(pattern)), matching IEEE 802.11-2012 Sec. 18.3.5.6.
+// (period = len(pattern)). Callers must not modify it.
 func (r CodeRate) puncturePattern() []bool {
 	switch r {
 	case Rate12:
-		return []bool{true, true}
+		return keep12
 	case Rate23:
-		// A1 B1 A2 (B2 stolen): keep, keep, keep, drop.
-		return []bool{true, true, true, false}
+		return keep23
 	case Rate34:
-		// A1 B1 B2 A3 (A2, B3 stolen).
-		return []bool{true, true, false, true, true, false}
+		return keep34
 	}
 	panic("fec: unknown code rate")
 }
@@ -161,15 +169,25 @@ func Depuncture(soft []float64, rate CodeRate, motherLen int) ([]float64, error)
 	return out, nil
 }
 
-// PuncturedLength returns the number of transmitted coded bits for
-// nInfo information bits (with tail included if terminated) at the given
-// rate. It errors if the mother length doesn't align with the puncture
-// period, in which case the caller should pad.
+// PuncturedLength returns the number of coded bits left after
+// puncturing motherLen mother-code bits at the given rate: whole
+// puncture periods times the bits each keeps, plus the kept bits of the
+// partial period. A motherLen that is not a whole number of periods
+// simply counts the partial period's kept bits; it is not an error.
 func PuncturedLength(motherLen int, rate CodeRate) int {
 	pat := rate.puncturePattern()
+	if motherLen <= 0 {
+		return 0
+	}
+	n := motherLen / len(pat) * keptBits(pat)
+	return n + keptBits(pat[:motherLen%len(pat)])
+}
+
+// keptBits counts the true entries of a keep-mask.
+func keptBits(pat []bool) int {
 	n := 0
-	for i := 0; i < motherLen; i++ {
-		if pat[i%len(pat)] {
+	for _, k := range pat {
+		if k {
 			n++
 		}
 	}

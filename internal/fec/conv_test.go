@@ -95,9 +95,11 @@ func TestPunctureLengths(t *testing.T) {
 	}
 }
 
+// TestPuncturedLengthMatchesPuncture checks PuncturedLength's closed
+// form against puncturing bit by bit, at every length up to 2000.
 func TestPuncturedLengthMatchesPuncture(t *testing.T) {
 	for _, rate := range []CodeRate{Rate12, Rate23, Rate34} {
-		for _, n := range []int{2, 4, 6, 12, 24, 48, 100} {
+		for n := 0; n <= 2000; n++ {
 			coded := make([]byte, n)
 			if got, want := PuncturedLength(n, rate), len(Puncture(coded, rate)); got != want {
 				t.Fatalf("rate %s len %d: PuncturedLength %d, Puncture %d", rate, n, got, want)

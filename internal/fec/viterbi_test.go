@@ -182,3 +182,31 @@ func TestViterbiRandomizedStress(t *testing.T) {
 		}
 	}
 }
+
+// TestDecoderZeroAlloc pins the reusable decoder's steady state: once
+// its scratch has grown, a fresh decode, a punctured decode and the
+// header-then-frame resume all run without touching the heap.
+func TestDecoderZeroAlloc(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	bits := randBits(r, 8*128+24)
+	soft := HardToSoft(EncodeTerminated(bits))
+	tx := HardToSoft(EncodePunctured(bits, Rate23))
+	hdr := tx[:PuncturedLength(2*64, Rate23)]
+	var d Decoder
+	checks := map[string]func(){
+		"decode": func() {
+			d.reset()
+			_, _ = d.Decode(soft, true)
+		},
+		"header then frame": func() {
+			_, _ = d.DecodePunctured(hdr, Rate23, 64, false)
+			_, _ = d.DecodePunctured(tx, Rate23, len(bits), true)
+		},
+	}
+	for name, f := range checks {
+		f() // grow the scratch
+		if n := testing.AllocsPerRun(20, f); n != 0 {
+			t.Errorf("%s: %.1f allocs per run, want 0", name, n)
+		}
+	}
+}

@@ -444,12 +444,9 @@ func (r *Reader) decodeFrame(ests []complex128, tcfg tag.Config) ([]byte, int, i
 	if steps < 16+fec.TailBits {
 		return nil, len(ests), 0, false
 	}
+	var dec fec.Decoder // shared by both passes for its scratch
 	need := fec.PuncturedLength(2*steps, tcfg.Coding)
-	mother, err := fec.Depuncture(soft[:need], tcfg.Coding, 2*steps)
-	if err != nil {
-		return nil, len(ests), 0, false
-	}
-	bits, err := fec.ViterbiDecode(mother, false)
+	bits, err := dec.DecodePunctured(soft[:need], tcfg.Coding, steps, false)
 	if err != nil {
 		return nil, len(ests), 0, false
 	}
@@ -464,7 +461,7 @@ func (r *Reader) decodeFrame(ests []complex128, tcfg tag.Config) ([]byte, int, i
 	}
 	// Second pass: terminated decode over exactly the frame's symbols.
 	frameSoft := soft[:used*tcfg.Mod.BitsPerSymbol()]
-	payload, err := tag.DecodeFrameBits(frameSoft, tcfg.Coding, infoBits)
+	payload, err := tag.DecodeFrameBitsWith(&dec, frameSoft, tcfg.Coding, infoBits)
 	if err != nil {
 		return nil, used, 0, false
 	}

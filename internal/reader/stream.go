@@ -51,6 +51,9 @@ type Stream struct {
 	gram  *linalg.Matrix
 	rhs   []complex128
 	hfb   []complex128
+	// dec holds the header pass's trellis so the frame pass resumes
+	// from it instead of re-decoding the header steps.
+	dec fec.Decoder
 }
 
 // NewStream returns a session-scoped streaming decoder sharing r's
@@ -200,7 +203,7 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	frameOK := false
 	if headerOK && used <= nAvail {
 		frameSoft := tcfg.Mod.DemapSoft(ests)
-		if p, err := tag.DecodeFrameBits(frameSoft[:used*bps], tcfg.Coding, infoBits); err == nil {
+		if p, err := tag.DecodeFrameBitsWith(&s.dec, frameSoft[:used*bps], tcfg.Coding, infoBits); err == nil {
 			payload = p
 			corrected = correctedBits(frameSoft[:used*bps], payload, tcfg)
 			frameOK = true
@@ -260,11 +263,7 @@ func (s *Stream) frameExtent(hdrEsts []complex128, tcfg tag.Config) (used, infoB
 		return 0, 0, false
 	}
 	need := fec.PuncturedLength(2*steps, tcfg.Coding)
-	mother, err := fec.Depuncture(soft[:need], tcfg.Coding, 2*steps)
-	if err != nil {
-		return 0, 0, false
-	}
-	bits, err := fec.ViterbiDecode(mother, false)
+	bits, err := s.dec.DecodePunctured(soft[:need], tcfg.Coding, steps, false)
 	if err != nil {
 		return 0, 0, false
 	}

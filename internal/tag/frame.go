@@ -59,13 +59,21 @@ func EncodeFrameBits(payload []byte, coding fec.CodeRate, mod Modulation) []byte
 // DecodeFrameBits inverts EncodeFrameBits from soft values: depuncture,
 // Viterbi, deframe. nInfoBits is the frame bit count (a multiple of 8).
 func DecodeFrameBits(soft []float64, coding fec.CodeRate, nInfoBits int) ([]byte, error) {
+	return DecodeFrameBitsWith(new(fec.Decoder), soft, coding, nInfoBits)
+}
+
+// DecodeFrameBitsWith is DecodeFrameBits on a caller-owned decoder. If
+// dec's last decode covered the start of these soft values (the
+// bounded length-header pass), the frame pass resumes from it; the
+// payload is the same either way and never aliases dec's scratch.
+func DecodeFrameBitsWith(dec *fec.Decoder, soft []float64, coding fec.CodeRate, nInfoBits int) ([]byte, error) {
 	// Trim pad soft bits so the punctured length matches.
 	steps := nInfoBits + fec.TailBits
 	needed := fec.PuncturedLength(2*steps, coding)
 	if len(soft) < needed {
 		return nil, fmt.Errorf("tag: %d soft bits, need %d", len(soft), needed)
 	}
-	bits, err := fec.DecodePunctured(soft[:needed], coding, nInfoBits, true)
+	bits, err := dec.DecodePunctured(soft[:needed], coding, nInfoBits, true)
 	if err != nil {
 		return nil, err
 	}

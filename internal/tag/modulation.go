@@ -133,6 +133,31 @@ func grayIndex(m Modulation, v int) int {
 	panic("tag: unreachable")
 }
 
+// pskConstellation is one PSK order's constellation, built once: the
+// phasor at each position, and for each label bit (MSB first) the
+// positions whose label has that bit 0 and 1.
+type pskConstellation struct {
+	pts   []complex128
+	split [4][2][]int
+}
+
+var pskTables = [...]pskConstellation{BPSK: newPSK(BPSK), QPSK: newPSK(QPSK), PSK16: newPSK(PSK16)}
+
+func newPSK(m Modulation) pskConstellation {
+	k := m.BitsPerSymbol()
+	c := pskConstellation{pts: make([]complex128, m.Points())}
+	for p := range c.pts {
+		s, co := math.Sincos(m.Phase(p))
+		c.pts[p] = complex(co, s)
+		label := grayEncode(p)
+		for bit := 0; bit < k; bit++ {
+			v := label >> uint(k-1-bit) & 1
+			c.split[bit][v] = append(c.split[bit][v], p)
+		}
+	}
+	return c
+}
+
 // DemapSoft converts received phasor estimates into per-bit soft values
 // (+ → bit 0) with the max-log approximation over the PSK
 // constellation, weighted by the estimate magnitudes (MRC confidence).
@@ -141,42 +166,41 @@ func (m Modulation) DemapSoft(points []complex128) []float64 {
 		return qam16DemapSoft(points)
 	}
 	k := m.BitsPerSymbol()
-	n := m.Points()
-	// Precompute constellation with labels.
-	type entry struct {
-		pt    complex128
-		label int
-	}
-	table := make([]entry, n)
-	for p := 0; p < n; p++ {
-		s, c := math.Sincos(m.Phase(p))
-		table[p] = entry{complex(c, s), grayEncode(p)}
-	}
+	c := &pskTables[m]
 	out := make([]float64, len(points)*k)
+	var dist [16]float64
 	for pi, y := range points {
 		mag := cmplx.Abs(y)
 		var u complex128
 		if mag > 0 {
 			u = y / complex(mag, 0)
 		}
-		for bit := 0; bit < k; bit++ {
-			d0, d1 := math.Inf(1), math.Inf(1)
-			for _, e := range table {
-				dr := real(u) - real(e.pt)
-				di := imag(u) - imag(e.pt)
-				d := dr*dr + di*di
-				if (e.label>>(uint(k-1-bit)))&1 == 0 {
-					if d < d0 {
-						d0 = d
-					}
-				} else if d < d1 {
-					d1 = d
-				}
+		for p, pt := range c.pts {
+			dr := real(u) - real(pt)
+			di := imag(u) - imag(pt)
+			dist[p] = dr*dr + di*di
+			if dist[p] != dist[p] {
+				dist[p] = math.Inf(1) // NaN never lowers a minimum
 			}
-			out[pi*k+bit] = (d1 - d0) * mag
+		}
+		for bit := 0; bit < k; bit++ {
+			out[pi*k+bit] = (minAt(&dist, c.split[bit][1]) - minAt(&dist, c.split[bit][0])) * mag
 		}
 	}
 	return out
+}
+
+// minAt returns the least dist[p] over the non-empty ps, folding from
+// both ends so the compares form two short chains, not one long one.
+// Distances are never NaN or −0, so this equals a strict-< scan from
+// +Inf in position order, whatever order the minima are taken in.
+func minAt(dist *[16]float64, ps []int) float64 {
+	n := len(ps)
+	a, b := dist[ps[0]], dist[ps[n-1]]
+	for i := 1; i < n/2; i++ {
+		a, b = min(a, dist[ps[i]]), min(b, dist[ps[n-1-i]])
+	}
+	return min(a, b)
 }
 
 // DemapHard slices phasors to bit labels.
