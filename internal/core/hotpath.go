@@ -5,15 +5,17 @@ import (
 
 	"backfi/internal/dsp"
 	"backfi/internal/reader"
+	"backfi/internal/sic"
 	"backfi/internal/tag"
 	"backfi/internal/wifi"
 )
 
 // hotState is the per-link session cache behind LinkConfig.SessionCache:
-// the realized excitation (ideal and distorted copies), the streaming
-// decoder with its SIC/channel-estimate scratch, and the per-frame
-// signal buffers. One hotState serves one Link; links are never shared
-// across goroutines (the serve layer gives each session its own).
+// the realized excitation (ideal and distorted copies) with everything
+// derived from it alone, the streaming decoder with its
+// SIC/channel-estimate scratch, and the per-frame signal buffers. One
+// hotState serves one Link; links are never shared across goroutines
+// (the serve layer gives each session its own).
 type hotState struct {
 	stream *reader.Stream
 
@@ -28,12 +30,21 @@ type hotState struct {
 	nppdu       int
 	psduBytes   int
 	tagCfg      tag.Config
+	// exc holds the overlap-save block spectra of x and xAir and the
+	// canceller's Gram factors (DESIGN.md §5g, "Frequency-domain
+	// SIC"). It is built with x/xAir and dropped with them, so nothing
+	// derived from an old waveform outlives a rebuild. The simulator's
+	// h_env convolution reuses its xAir spectra.
+	exc *sic.Excitation
 
 	// Per-frame scratch, windowed to the samples actually processed.
-	z    []complex128 // forward signal at the tag
-	refl []complex128 // backscatter reflection z·m
-	bs   []complex128 // reflection through h_b
-	y    []complex128 // AP receive buffer
+	m       []complex128 // tag modulation, up to the frame's end
+	z       []complex128 // forward signal at the tag
+	refl    []complex128 // backscatter reflection z·m
+	bs      []complex128 // reflection through h_b
+	y       []complex128 // AP receive buffer
+	envSpec []complex128 // h_env spectrum on exc's grid
+	conv    dsp.FreqConv
 }
 
 // hotWindowSlack extends the processing window past the frame's nominal
@@ -97,29 +108,32 @@ func (l *Link) runPacketHot(payload []byte) (*PacketResult, error) {
 		return nil, fmt.Errorf("%w: wake timing off by %d samples", ErrTagNoWake, d)
 	}
 
-	m, plan, err := l.Tag.ModulationSequence(packetLen, payload)
+	m, plan, err := l.Tag.ModulationSequenceInto(h.m, packetLen, payload)
 	if err != nil {
 		return nil, err
 	}
+	h.m = m
 
 	// Reflection z·m and backward channel, over the window only. The
-	// reflection buffer is zeroed across the whole window so the h_b
-	// convolution's look-back reads defined samples.
-	if cap(h.refl) < len(x) {
-		h.refl = make([]complex128, len(x))
-	}
-	h.refl = h.refl[:len(x)]
-	for n := 0; n < hi; n++ {
-		h.refl[n] = 0
-	}
-	for n := packetStart; n < hi && n-packetStart < len(m); n++ {
+	// tag reflects nothing before the packet or past the frame's end;
+	// the h_b convolution's look-back reads the len(h_b)−1 samples
+	// before the packet, so those are zeroed too.
+	h.refl = growSamples(h.refl, len(x))
+	clear(h.refl[max(0, packetStart-len(l.Scenario.HB)+1):packetStart])
+	frameEnd := min(hi, packetStart+len(m))
+	for n := packetStart; n < frameEnd; n++ {
 		h.refl[n] = h.z[n] * m[n-packetStart]
 	}
+	clear(h.refl[frameEnd:hi])
 	h.bs = dsp.ConvolveRangeInto(h.bs, h.refl, l.Scenario.HB, packetStart, hi)
 
-	// AP receive over the window: self-interference + backscatter +
-	// thermal noise (drawn only for the window's samples).
-	h.y = dsp.ConvolveRangeInto(h.y, xAir, l.Scenario.HEnv, packetStart, hi)
+	// AP receive over the window: self-interference (overlap-save on
+	// the cached xAir spectra) + backscatter + thermal noise (drawn
+	// only for the window's samples).
+	h.y = growSamples(h.y, len(x))
+	tapSpec := h.exc.Tap()
+	h.envSpec = tapSpec.Grid().FilterSpectrumInto(h.envSpec, l.Scenario.HEnv)
+	h.conv.SumRangeInto(h.y[packetStart:hi], packetStart, dsp.FreqTerm{X: tapSpec, H: h.envSpec})
 	for n := packetStart; n < hi; n++ {
 		h.y[n] += h.bs[n]
 	}
@@ -129,7 +143,7 @@ func (l *Link) runPacketHot(payload []byte) (*PacketResult, error) {
 	// Decode sees the window as the packet: available symbols are
 	// bounded by hi, which covers the frame plus timing slack.
 	spDec := l.m.decode.Start(l.trace)
-	res, err := h.stream.Decode(x, xAir, h.y, packetStart, hi-packetStart, tcfg)
+	res, err := h.stream.DecodeWith(h.exc, h.y, packetStart, hi-packetStart, tcfg)
 	spDec.End()
 	if err != nil {
 		return nil, err
@@ -167,7 +181,10 @@ func (l *Link) runPacketHot(payload []byte) (*PacketResult, error) {
 
 // rebuildHot (re)builds the cached excitation for the current tag and
 // packet configuration, keeping the stream decoder (and its trained
-// scratch capacity) across rebuilds.
+// scratch capacity) across rebuilds. The excitation's spectra and Gram
+// factors start empty with every rebuild. Their block grid serves the
+// longest filter applied to the waveform: either canceller stage or
+// h_env.
 //
 // In migratable mode the build's RNG draws (MSDU bytes, transmit
 // distortion) run under a temporary seed derived from the cache key
@@ -198,6 +215,9 @@ func (l *Link) rebuildHot(nppdu int) (*hotState, error) {
 	h := l.hot
 	h.x = x
 	h.xAir = l.Scenario.Distortion.Apply(x)
+	sicCfg := l.Cfg.Reader.SIC
+	grid := dsp.NewOLSGrid(max(sicCfg.AnalogTaps, sicCfg.DigitalTaps, len(l.Scenario.HEnv)))
+	h.exc = sic.NewExcitation(grid, h.xAir, h.x)
 	h.packetStart = packetStart
 	h.nppdu = nppdu
 	h.psduBytes = l.Cfg.WiFiPSDUBytes
@@ -224,4 +244,13 @@ func (l *Link) cacheSeed(nppdu int) int64 {
 	mix(fmt.Sprintf("%+v", l.Tag.Cfg))
 	mix(fmt.Sprintf("%d/%d", nppdu, l.Cfg.WiFiPSDUBytes))
 	return attemptSeed(l.Cfg.Seed^int64(h), 0)
+}
+
+// growSamples returns buf resized to n, reallocating only when it lacks
+// the capacity.
+func growSamples(buf []complex128, n int) []complex128 {
+	if cap(buf) < n {
+		return make([]complex128, n)
+	}
+	return buf[:n]
 }

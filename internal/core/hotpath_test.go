@@ -190,3 +190,65 @@ func BenchmarkRunPacketSessionCacheFastTag(b *testing.B) {
 		}
 	}
 }
+
+// TestHotPathRebuildMatchesFreshLink: after SetTagConfig forces a
+// cache rebuild, the hot path must decode exactly as a link that ran
+// the new configuration from the start — no spectra, Gram factor or
+// scratch derived from the old excitation may leak into the new one.
+// Migratable mode makes both links' draws a function of (seed,
+// attempt) alone, so the two are comparable frame for frame.
+func TestHotPathRebuildMatchesFreshLink(t *testing.T) {
+	fast := tag.Config{Mod: tag.PSK16, Coding: fec.Rate23, SymbolRateHz: 2.5e6, PreambleChips: tag.DefaultPreambleChips, ID: 1}
+	cfg := hotLinkConfig(108)
+	cfg.Migratable = true
+	switched, err := NewLink(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("backfi!"), 12)
+	for n := 0; n < 3; n++ {
+		switched.ReseedAttempt(n)
+		if _, err := switched.RunPacket(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := switched.SetTagConfig(fast); err != nil {
+		t.Fatal(err)
+	}
+	fcfg := cfg
+	fcfg.Tag = fast
+	fresh, err := NewLink(fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	for n := 3; n < 7; n++ {
+		switched.ReseedAttempt(n)
+		fresh.ReseedAttempt(n)
+		a, errA := switched.RunPacket(payload)
+		b, errB := fresh.RunPacket(payload)
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("attempt %d: errors differ: %v vs %v", n, errA, errB)
+		}
+		if errA != nil {
+			continue
+		}
+		if a.PayloadOK {
+			delivered++
+		}
+		if a.PayloadOK != b.PayloadOK || !bytes.Equal(a.Decode.Payload, b.Decode.Payload) {
+			t.Fatalf("attempt %d: payload outcome differs after the rebuild", n)
+		}
+		if a.MeasuredSNRdB != b.MeasuredSNRdB || a.SICResidualDBm != b.SICResidualDBm || a.RawBitErrors != b.RawBitErrors {
+			t.Fatalf("attempt %d: diagnostics differ: SNR %v/%v residual %v/%v", n, a.MeasuredSNRdB, b.MeasuredSNRdB, a.SICResidualDBm, b.SICResidualDBm)
+		}
+		for i, v := range a.Decode.SymbolEstimates {
+			if v != b.Decode.SymbolEstimates[i] {
+				t.Fatalf("attempt %d symbol %d: %v after rebuild vs %v fresh", n, i, v, b.Decode.SymbolEstimates[i])
+			}
+		}
+	}
+	if delivered == 0 {
+		t.Fatal("no frame delivered; the comparison is vacuous")
+	}
+}

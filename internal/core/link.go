@@ -195,6 +195,8 @@ type linkMetrics struct {
 	snrMeasured    *obs.Histogram
 	cacheHit       *obs.Counter
 	cacheMiss      *obs.Counter
+	slotCacheHit   *obs.Counter
+	slotCacheMiss  *obs.Counter
 }
 
 func newLinkMetrics(r *obs.Registry) linkMetrics {
@@ -215,6 +217,8 @@ func newLinkMetrics(r *obs.Registry) linkMetrics {
 		snrMeasured:    snr("measured"),
 		cacheHit:       r.Counter(obs.MetricLinkCache, "Excitation-cache lookups on the session-cache hot path, by outcome.", "outcome", "hit"),
 		cacheMiss:      r.Counter(obs.MetricLinkCache, "Excitation-cache lookups on the session-cache hot path, by outcome.", "outcome", "miss"),
+		slotCacheHit:   r.Counter(obs.MetricMultiTagSlotCache, "Multi-tag excitation lookups (slot pool or session cache), by outcome.", "outcome", "hit"),
+		slotCacheMiss:  r.Counter(obs.MetricMultiTagSlotCache, "Multi-tag excitation lookups (slot pool or session cache), by outcome.", "outcome", "miss"),
 	}
 }
 

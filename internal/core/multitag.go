@@ -164,9 +164,9 @@ func (m *MultiTagLink) excitation(scIdx, wakeIdx, nppdu int) (x, xAir []complex1
 			return nil, nil, 0, err
 		}
 		if hit {
-			m.base.m.cacheHit.Inc()
+			m.base.m.slotCacheHit.Inc()
 		} else {
-			m.base.m.cacheMiss.Inc()
+			m.base.m.slotCacheMiss.Inc()
 		}
 		// Copy-on-write: the template is shared and immutable; the
 		// per-frame transmit distortion lands in a fresh buffer.
@@ -174,10 +174,10 @@ func (m *MultiTagLink) excitation(scIdx, wakeIdx, nppdu int) (x, xAir []complex1
 	}
 	if m.base.inj == nil && m.Cfg.SessionCache {
 		if h := m.hot; h != nil && h.scIdx == scIdx && h.wakeID == wakeID && h.nppdu == nppdu {
-			m.base.m.cacheHit.Inc()
+			m.base.m.slotCacheHit.Inc()
 			return h.x, h.xAir, h.packetStart, nil
 		}
-		m.base.m.cacheMiss.Inc()
+		m.base.m.slotCacheMiss.Inc()
 		tx, ps, err := buildExcitation(m.base.rng, m.base.rate, m.Cfg.WiFiPSDUBytes, sc.TxPowerW(), tg, nppdu)
 		if err != nil {
 			return nil, nil, 0, err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"backfi/internal/obs"
 )
 
 func slotPayloads(seed int64, slot, tags int) [][]byte {
@@ -158,5 +160,45 @@ func TestSlotPoolSharingPreservesOutcomes(t *testing.T) {
 	c := run(nil)  // private excitation path
 	if a != b || a != c {
 		t.Fatalf("pooled/private outcomes diverge: %+v / %+v / %+v", a, b, c)
+	}
+}
+
+// Multi-tag excitation lookups — the shared slot pool and a multi-tag
+// link's own session cache — count under their own family and leave
+// the single-tag hot path's counter at zero.
+func TestMultiTagLookupsLeaveSingleTagCounter(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		pool  *SlotPool
+		cache bool
+	}{
+		{"pool", NewSlotPool(321), false},
+		{"session-cache", nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := DefaultLinkConfig(1)
+			cfg.Seed = 321
+			cfg.Obs = reg
+			cfg.SessionCache = tc.cache
+			s, err := NewMultiTagSession(MultiTagSessionConfig{Link: cfg, Tags: 2, Pool: tc.pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for slot := 0; slot < 3; slot++ {
+				if _, err := s.SendSlot(slotPayloads(321, slot, 2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := reg.Snapshot()
+			single := snap.Counter(obs.MetricLinkCache, `{outcome="hit"}`) + snap.Counter(obs.MetricLinkCache, `{outcome="miss"}`)
+			multi := snap.Counter(obs.MetricMultiTagSlotCache, `{outcome="hit"}`) + snap.Counter(obs.MetricMultiTagSlotCache, `{outcome="miss"}`)
+			if single != 0 {
+				t.Fatalf("multi-tag slots made %d single-tag cache lookups, want 0", single)
+			}
+			if multi == 0 {
+				t.Fatal("multi-tag slots recorded no slot-cache lookups")
+			}
+		})
 	}
 }

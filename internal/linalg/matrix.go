@@ -124,9 +124,9 @@ func SolveHermitian(a *Matrix, b []complex128, lambda float64) ([]complex128, er
 func choleskyInPlace(l *Matrix) error {
 	n := l.Rows
 	for j := 0; j < n; j++ {
+		rowJ := l.Data[j*n : j*n+j]
 		d := real(l.Data[j*n+j])
-		for k := 0; k < j; k++ {
-			v := l.Data[j*n+k]
+		for _, v := range rowJ {
 			d -= real(v)*real(v) + imag(v)*imag(v)
 		}
 		if d <= 0 || math.IsNaN(d) {
@@ -135,9 +135,11 @@ func choleskyInPlace(l *Matrix) error {
 		sq := math.Sqrt(d)
 		l.Data[j*n+j] = complex(sq, 0)
 		for i := j + 1; i < n; i++ {
+			rowI := l.Data[i*n : i*n+j]
+			rowI = rowI[:len(rowJ)]
 			v := l.Data[i*n+j]
-			for k := 0; k < j; k++ {
-				v -= l.Data[i*n+k] * cmplx.Conj(l.Data[j*n+k])
+			for k, w := range rowJ {
+				v -= rowI[k] * cmplx.Conj(w)
 			}
 			l.Data[i*n+j] = v / complex(sq, 0)
 		}

@@ -135,6 +135,13 @@ const (
 	// churn forcing excitation rebuilds.
 	MetricLinkCache = "backfi_link_excitation_cache_total"
 
+	// MetricMultiTagSlotCache counts the multi-tag excitation lookups
+	// (label outcome = hit | miss): the daemon's shared SlotPool and a
+	// multi-tag link's own session cache. They stay out of
+	// MetricLinkCache so that family keeps counting the single-tag hot
+	// path alone.
+	MetricMultiTagSlotCache = "backfi_multitag_slot_cache_total"
+
 	// SLO metrics (DESIGN.md §5h). MetricSLOBurnRate is the rolling-
 	// window error-budget burn rate (label slo = delivery | latency;
 	// > 1 means the objective fails if the window persists);
@@ -186,6 +193,7 @@ var AllMetricNames = []string{
 	MetricServeFrameCodec,
 	MetricServeConnsProto,
 	MetricLinkCache,
+	MetricMultiTagSlotCache,
 	MetricSLOBurnRate,
 	MetricSLODeliveryRate,
 	MetricSLOLatencyP99,

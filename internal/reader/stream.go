@@ -19,11 +19,17 @@ import (
 // SNRs where frames decode at all.
 const headerGuardSteps = 8 * fec.TailBits
 
+// timingPasses bounds the timing-search refinement: each pass may move
+// the preamble start by up to ±TimingSearch samples.
+const timingPasses = 3
+
 // Stream is the serving hot path's per-session decoder. It wraps a
 // Reader with state that amortizes across frames of one session:
 //
 //   - a sic.Reusable canceller retrained every frame with no
-//     steady-state allocation;
+//     steady-state allocation, against a caller-owned sic.Excitation
+//     (DecodeWith) whose spectra and Gram factors persist across frames
+//     of one cached waveform;
 //   - clean/reference/estimate scratch buffers reused across calls;
 //   - normal-equation scratch for the combined-channel estimate;
 //   - windowed processing: instead of cancelling and correlating over
@@ -33,10 +39,11 @@ const headerGuardSteps = 8 * fec.TailBits
 //
 // Results are deterministic for identical inputs but NOT bit-identical
 // to Reader.Decode: the fast canceller assembles its normal equations
-// in a different summation order, and symbol estimates stop at the
-// frame boundary instead of covering the tag's post-frame silence
-// (Result.SymbolEstimates holds only the frame's symbols). The fast
-// serve path pins its own determinism contract (DESIGN.md §5g).
+// in a different summation order and reconstructs by overlap-save,
+// and symbol estimates stop at the frame boundary instead of covering
+// the tag's post-frame silence (Result.SymbolEstimates holds only the
+// frame's symbols). The fast serve path pins its own determinism
+// contract (DESIGN.md §5g).
 //
 // Slices in a returned Result (SymbolEstimates, Hfb) alias the
 // stream's scratch and are valid only until the next Decode call;
@@ -54,6 +61,10 @@ type Stream struct {
 	// dec holds the header pass's trellis so the frame pass resumes
 	// from it instead of re-decoding the header steps.
 	dec fec.Decoder
+	// pn is the PN preamble of tag pnID with len(pn) chips, kept
+	// across frames of a session's tag configuration.
+	pn   []complex128
+	pnID int
 }
 
 // NewStream returns a session-scoped streaming decoder sharing r's
@@ -75,13 +86,23 @@ func (r *Reader) NewStream() (*Stream, error) {
 
 // Decode processes one excitation packet with the same stage structure
 // and arguments as Reader.Decode, reusing the stream's cached state.
+// The canceller's spectra and factors are computed afresh for x/xTap;
+// DecodeWith gives the same result from ones kept across frames.
 func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
+	return s.DecodeWith(s.canc.PerCall(xTap, x), y, packetStart, packetLen, tcfg)
+}
+
+// DecodeWith is Decode against exc's transmit copies (XIdeal is x,
+// XTap is xTap). exc belongs to the caller, who keeps it as long as it
+// keeps the waveform; the stream holds no reference past the call.
+func (s *Stream) DecodeWith(exc *sic.Excitation, y []complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
 	r := s.r
 	if err := tcfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(x) != len(y) || len(xTap) != len(y) {
-		return nil, fmt.Errorf("reader: x/xTap/y length mismatch %d/%d/%d", len(x), len(xTap), len(y))
+	x := exc.XIdeal()
+	if len(x) != len(y) || len(exc.XTap()) != len(y) {
+		return nil, fmt.Errorf("reader: x/xTap/y length mismatch %d/%d/%d", len(x), len(exc.XTap()), len(y))
 	}
 	if packetStart+packetLen > len(x) {
 		return nil, fmt.Errorf("reader: packet [%d,%d) exceeds %d samples", packetStart, packetStart+packetLen, len(x))
@@ -91,7 +112,7 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	tr := r.trace
 	s.canc.SetTrace(tr)
 	spTrain := r.m.sicTrain.Start(tr)
-	err := s.canc.Retrain(xTap, x, y, packetStart, packetStart+tag.SilentSamples)
+	err := s.canc.RetrainWith(exc, y, packetStart, packetStart+tag.SilentSamples)
 	spTrain.End()
 	if err != nil {
 		r.m.failSICTrain.Inc()
@@ -106,22 +127,31 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 		return nil, fmt.Errorf("reader: packet too short for tag preamble")
 	}
 
-	// Initial window: silent + preamble + timing slack + enough payload
-	// symbols for the bounded header pass.
+	// Initial window: from the earliest sample a later stage reads to
+	// the preamble, timing slack and enough payload symbols for the
+	// bounded header pass. Timing search moves the preamble start by
+	// at most timingPasses·TimingSearch samples either way; the channel
+	// estimate, the timing metric and the header MRC read only from the
+	// moved grid, so nothing reads the rest of the silent window.
 	sps := tcfg.SamplesPerSymbol()
 	bps := tcfg.Mod.BitsPerSymbol()
 	headerSoft := fec.PuncturedLength(2*(16+headerGuardSteps), tcfg.Coding)
 	headerSyms := (headerSoft + bps - 1) / bps
-	hi := preEnd + r.cfg.TimingSearch + headerSyms*sps
+	slack := timingPasses * r.cfg.TimingSearch
+	lo := max(packetStart, preStart-slack)
+	hi := preEnd + slack + headerSyms*sps
 	if hi > packetEnd {
 		hi = packetEnd
 	}
 	spCancel := r.m.sicCancel.Start(tr)
-	s.clean = s.canc.CancelRange(s.clean, xTap, x, y, packetStart, hi)
+	s.clean = s.canc.CancelRangeWith(s.clean, exc, y, lo, hi)
 	spCancel.End()
 
 	// Stage 2: channel estimation + timing, windowed.
-	pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
+	if s.pn == nil || s.pnID != tcfg.ID || len(s.pn) != tcfg.PreambleChips {
+		s.pn, s.pnID = tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips), tcfg.ID
+	}
+	pn := s.pn
 	spEst := r.m.chanEst.Start(tr)
 	err = s.estimateHfbInto(x, s.clean, preStart, pn)
 	spEst.End()
@@ -129,11 +159,11 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 		r.m.failChanEst.Inc()
 		return nil, err
 	}
-	s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, packetStart, hi)
+	s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, lo, hi)
 
 	spTiming := r.m.timing.Start(tr)
 	offset := 0
-	for pass := 0; pass < 3; pass++ {
+	for pass := 0; pass < timingPasses; pass++ {
 		step := r.searchTiming(s.clean, s.ref, preStart, pn)
 		if step == 0 {
 			break
@@ -142,7 +172,7 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 		preStart += step
 		preEnd += step
 		if err := s.estimateHfbInto(x, s.clean, preStart, pn); err == nil {
-			s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, packetStart, hi)
+			s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, lo, hi)
 		}
 	}
 	spTiming.End()
@@ -187,7 +217,7 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	hi2 := symStart + nSyms*sps
 	if hi2 > hi {
 		spCancel := r.m.sicCancel.Start(tr)
-		s.clean = s.canc.CancelRange(s.clean, xTap, x, y, hi, hi2)
+		s.clean = s.canc.CancelRangeWith(s.clean, exc, y, hi, hi2)
 		s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, hi, hi2)
 		spCancel.End()
 	}

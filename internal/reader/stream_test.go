@@ -2,14 +2,17 @@ package reader
 
 import (
 	"bytes"
+	"math"
 	"math/cmplx"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"backfi/internal/dsp"
 	"backfi/internal/fec"
 	"backfi/internal/obs"
+	"backfi/internal/sic"
 	"backfi/internal/tag"
 )
 
@@ -187,6 +190,123 @@ func TestStageParity(t *testing.T) {
 	} {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s stages = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// sameResult reports the first field where a and b differ bit for bit
+// ("" when none does); NaNs compare by their bits.
+func sameResult(a, b *Result) string {
+	fbits := func(v float64) uint64 { return math.Float64bits(v) }
+	cbits := func(x, y []complex128) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if fbits(real(x[i])) != fbits(real(y[i])) || fbits(imag(x[i])) != fbits(imag(y[i])) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case a.FrameOK != b.FrameOK || !bytes.Equal(a.Payload, b.Payload):
+		return "payload"
+	case !cbits(a.SymbolEstimates, b.SymbolEstimates):
+		return "symbol estimates"
+	case !cbits(a.Hfb, b.Hfb):
+		return "channel estimate"
+	case fbits(a.SNRdB) != fbits(b.SNRdB) || fbits(a.PreambleCorr) != fbits(b.PreambleCorr):
+		return "SNR/preamble correlation"
+	case a.TimingOffset != b.TimingOffset || a.ViterbiCorrectedBits != b.ViterbiCorrectedBits:
+		return "timing/corrected bits"
+	case a.SIC != b.SIC:
+		return "SIC report"
+	}
+	return ""
+}
+
+// cloneResult copies the scratch-backed slices out of r.
+func cloneResult(r *Result) *Result {
+	c := *r
+	c.SymbolEstimates = append([]complex128(nil), r.SymbolEstimates...)
+	c.Hfb = append([]complex128(nil), r.Hfb...)
+	return &c
+}
+
+// TestStreamSkipsUnreadSilentSamples: the stream cancels and filters
+// only from the earliest sample timing search or the channel estimate
+// can read. With every sample of its clean/reference buffers NaN
+// before the call, a decode must equal the one on fresh buffers bit
+// for bit, so no stage reads a sample the windows do not write.
+func TestStreamSkipsUnreadSilentSamples(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sc   *scene
+	}{
+		{"on-time", buildSceneWithOffset(t, 61, qpskCfg(), 40, 0)},
+		{"late", buildSceneWithOffset(t, 62, qpskCfg(), 40, 12)},
+		{"early", buildSceneWithOffset(t, 63, qpskCfg(), 40, -8)},
+		{"psk16-fast", buildScene(t, 64, tag.Config{Mod: tag.PSK16, Coding: fec.Rate23, SymbolRateHz: 2.5e6, PreambleChips: 32, ID: 2}, 40, -65)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := tc.sc
+			rd := mustNew(DefaultConfig())
+			want, err := mustStream(t, rd).Decode(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, sc.tcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := mustStream(t, rd)
+			for pass := 0; pass < 2; pass++ {
+				nan := complex(math.NaN(), math.NaN())
+				for i := range st.clean {
+					st.clean[i] = nan
+				}
+				for i := range st.ref {
+					st.ref[i] = nan
+				}
+				got, err := st.Decode(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, sc.tcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pass == 0 {
+					continue // first pass only sizes the buffers
+				}
+				if d := sameResult(got, want); d != "" {
+					t.Fatalf("poisoned decode differs in %s (frame ok %v vs %v, timing %d vs %d)",
+						d, got.FrameOK, want.FrameOK, got.TimingOffset, want.TimingOffset)
+				}
+			}
+			if !want.FrameOK {
+				t.Fatal("scene does not decode; the test compares nothing")
+			}
+		})
+	}
+}
+
+// TestStreamDecodeWithMatchesDecode: a caller-owned memoizing
+// excitation decodes frame after frame bit-identically to the slice
+// API's per-call spectra and factors.
+func TestStreamDecodeWithMatchesDecode(t *testing.T) {
+	rd := mustNew(DefaultConfig())
+	sicCfg := DefaultConfig().SIC
+	for _, seed := range []int64{71, 72} {
+		sc := buildScene(t, seed, qpskCfg(), 40, -65)
+		exc := sic.NewExcitation(dsp.NewOLSGrid(max(sicCfg.AnalogTaps, sicCfg.DigitalTaps)), sc.x, sc.x)
+		memo, per := mustStream(t, rd), mustStream(t, rd)
+		for frame := 0; frame < 3; frame++ {
+			got, err := memo.DecodeWith(exc, sc.y, sc.packetStart, sc.packetLen, sc.tcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = cloneResult(got)
+			want, err := per.Decode(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, sc.tcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := sameResult(got, want); d != "" {
+				t.Fatalf("seed %d frame %d: DecodeWith differs from Decode in %s", seed, frame, d)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
+	"backfi/internal/linalg"
 )
 
 func TestReusableMatchesTrainCancel(t *testing.T) {
@@ -129,5 +130,186 @@ func TestReusableZeroAllocSteadyState(t *testing.T) {
 func TestNewReusableValidates(t *testing.T) {
 	if _, err := NewReusable(Config{DigitalTaps: 0}); err == nil {
 		t.Fatal("want error for missing digital stage")
+	}
+}
+
+// distortedPair returns an ideal transmit copy, a PA-output copy with
+// independent distortion, and their receive signal through h_env.
+func distortedPair(r *rand.Rand, n int) (xTap, xIdeal, y []complex128) {
+	xIdeal = testSignal(r, n, dsp.UnDBm(20))
+	xTap = make([]complex128, n)
+	for i, v := range xIdeal {
+		xTap[i] = v + 1e-3*complex(r.NormFloat64(), r.NormFloat64())
+	}
+	henv := channel.RayleighTaps(r, 10, 0.5).Scale(-20)
+	noise := channel.NewAWGN(r, channel.ThermalNoiseW(20e6, 6))
+	return xTap, xIdeal, noise.Add(henv.Apply(xTap))
+}
+
+func TestRetrainWithMemoizedFactorsMatchesToeplitzLSFast(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	xTap, xIdeal, y := distortedPair(r, 3000)
+	cfg := DefaultConfig()
+	const start, stop = 200, 520
+	e := NewExcitation(dsp.NewOLSGrid(32), xTap, xIdeal)
+	ru, err := NewReusable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two frames on the same excitation: the second reuses both factors.
+	for frame := 0; frame < 2; frame++ {
+		yf := append([]complex128(nil), y...)
+		for i := range yf {
+			yf[i] += complex(float64(frame)*1e-4, 0)
+		}
+		if err := ru.RetrainWith(e, yf, start, stop); err != nil {
+			t.Fatal(err)
+		}
+		var ws linalg.ToeplitzWorkspace
+		hA, err := linalg.ToeplitzLSFast(&ws, xTap, yf, cfg.AnalogTaps, start, stop, cfg.Lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantA := quantizeTaps(hA, cfg.AnalogMagBits, cfg.AnalogPhaseBits)
+		for i := range wantA {
+			if ru.analog[i] != wantA[i] {
+				t.Fatalf("frame %d analog tap %d: memoized %v vs ToeplitzLSFast %v", frame, i, ru.analog[i], wantA[i])
+			}
+		}
+		// The digital stage fits the residue of the quantized analog
+		// stage, reconstructed by direct convolution.
+		work := dsp.Sub(yf, dsp.ConvolveSame(xTap, wantA))
+		hD, err := linalg.ToeplitzLSFast(&ws, xIdeal, work, cfg.DigitalTaps, start, stop, cfg.Lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range hD {
+			if ru.digital[i] != hD[i] {
+				t.Fatalf("frame %d digital tap %d: memoized %v vs ToeplitzLSFast %v", frame, i, ru.digital[i], hD[i])
+			}
+		}
+	}
+}
+
+func TestExcitationMemoMatchesPerCall(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	xTap, xIdeal, y := distortedPair(r, 4000)
+	cfg := DefaultConfig()
+	memo, err := NewReusable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per, err := NewReusable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewExcitation(dsp.NewOLSGrid(max(cfg.AnalogTaps, cfg.DigitalTaps)), xTap, xIdeal)
+	for frame := 0; frame < 3; frame++ {
+		if err := memo.RetrainWith(e, y, 100, 420); err != nil {
+			t.Fatal(err)
+		}
+		if err := per.Retrain(xTap, xIdeal, y, 100, 420); err != nil {
+			t.Fatal(err)
+		}
+		if memo.Report() != per.Report() {
+			t.Fatalf("frame %d: reports differ: %+v vs %+v", frame, memo.Report(), per.Report())
+		}
+		a := memo.CancelRangeWith(nil, e, y, 400, 3100)
+		b := per.CancelRange(nil, xTap, xIdeal, y, 400, 3100)
+		for i := 400; i < 3100; i++ {
+			if a[i] != b[i] {
+				t.Fatalf("frame %d sample %d: memoized %v vs per-call %v", frame, i, a[i], b[i])
+			}
+		}
+		y = append(y[:0:0], y...)
+		y[150] += 1e-3
+	}
+}
+
+func TestReusableWithZeroAllocSteadyState(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	xTap, xIdeal, y := distortedPair(r, 3000)
+	ru, err := NewReusable(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewExcitation(dsp.NewOLSGrid(32), xTap, xIdeal)
+	dst := make([]complex128, len(y))
+	if err := ru.RetrainWith(e, y, 0, 320); err != nil {
+		t.Fatal(err)
+	}
+	dst = ru.CancelRangeWith(dst, e, y, 300, 2400)
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := ru.RetrainWith(e, y, 0, 320); err != nil {
+			t.Fatal(err)
+		}
+		dst = ru.CancelRangeWith(dst, e, y, 300, 2400)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm RetrainWith+CancelRangeWith allocates %v per run, want 0", allocs)
+	}
+}
+
+func TestRetrainWithRejectsSmallGrid(t *testing.T) {
+	r := rand.New(rand.NewSource(38))
+	xTap, xIdeal, y := distortedPair(r, 1000)
+	ru, err := NewReusable(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ru.RetrainWith(NewExcitation(dsp.NewOLSGrid(8), xTap, xIdeal), y, 0, 320); err == nil {
+		t.Fatal("want error for a grid shorter than the digital stage")
+	}
+}
+
+// BenchmarkReusableHotFrame is one warm hot-path frame of the
+// canceller on a cached excitation: retrain on the silent window, then
+// cancel a 4.2k-sample decode window. CI gates it at 0 allocs/op.
+func BenchmarkReusableHotFrame(b *testing.B) {
+	r := rand.New(rand.NewSource(39))
+	xTap, xIdeal, y := distortedPair(r, 12000)
+	ru, err := NewReusable(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := NewExcitation(dsp.NewOLSGrid(32), xTap, xIdeal)
+	const ps = 2000
+	dst := make([]complex128, len(y))
+	frame := func() {
+		if err := ru.RetrainWith(e, y, ps, ps+320); err != nil {
+			b.Fatal(err)
+		}
+		dst = ru.CancelRangeWith(dst, e, y, ps+300, ps+4500)
+	}
+	frame()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame()
+	}
+}
+
+// BenchmarkReusableSliceFrame is the same frame through the slice API
+// (per-call spectra and factors).
+func BenchmarkReusableSliceFrame(b *testing.B) {
+	r := rand.New(rand.NewSource(39))
+	xTap, xIdeal, y := distortedPair(r, 12000)
+	ru, err := NewReusable(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const ps = 2000
+	dst := make([]complex128, len(y))
+	frame := func() {
+		if err := ru.Retrain(xTap, xIdeal, y, ps, ps+320); err != nil {
+			b.Fatal(err)
+		}
+		dst = ru.CancelRange(dst, xTap, xIdeal, y, ps+300, ps+4500)
+	}
+	frame()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame()
 	}
 }

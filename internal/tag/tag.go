@@ -127,6 +127,8 @@ type Tag struct {
 	Detector *EnergyDetector
 	wakeSeq  []byte
 	wakeID   int
+	// pre is Cfg's PN preamble, derived once like wakeSeq.
+	pre []complex128
 }
 
 // New returns a tag with the given configuration.
@@ -134,7 +136,8 @@ func New(cfg Config) (*Tag, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Tag{Cfg: cfg, Detector: NewEnergyDetector(), wakeSeq: WakeSequence(cfg.ID), wakeID: cfg.ID}, nil
+	return &Tag{Cfg: cfg, Detector: NewEnergyDetector(), wakeSeq: WakeSequence(cfg.ID), wakeID: cfg.ID,
+		pre: PreambleSequence(cfg.ID, cfg.PreambleChips)}, nil
 }
 
 // NewWithWake returns a tag whose wake correlator listens for wakeID's
@@ -150,7 +153,8 @@ func NewWithWake(cfg Config, wakeID int) (*Tag, error) {
 	if wakeID < 0 {
 		return nil, fmt.Errorf("tag: negative wake ID %d", wakeID)
 	}
-	return &Tag{Cfg: cfg, Detector: NewEnergyDetector(), wakeSeq: WakeSequence(wakeID), wakeID: wakeID}, nil
+	return &Tag{Cfg: cfg, Detector: NewEnergyDetector(), wakeSeq: WakeSequence(wakeID), wakeID: wakeID,
+		pre: PreambleSequence(cfg.ID, cfg.PreambleChips)}, nil
 }
 
 // WakeSeq returns the tag's 16-bit wake sequence.
@@ -176,18 +180,45 @@ func (t *Tag) PayloadCapacity(packetSamples int) int {
 // again after the frame ends). It returns the plan describing the
 // layout.
 func (t *Tag) ModulationSequence(packetSamples int, payload []byte) ([]complex128, *TxPlan, error) {
+	m := make([]complex128, packetSamples)
+	_, plan, err := t.ModulationSequenceInto(m, packetSamples, payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, plan, nil
+}
+
+// ModulationSequenceInto is ModulationSequence writing only up to the
+// frame's last sample: it fills dst (grown if needed) with m[0, End)
+// and returns dst[:End] — every m[n] for n ≥ End is zero. A caller that
+// reflects the same excitation frame after frame reuses one dst
+// instead of allocating the whole packet's worth of zeros per frame.
+func (t *Tag) ModulationSequenceInto(dst []complex128, packetSamples int, payload []byte) ([]complex128, *TxPlan, error) {
 	cfg := t.Cfg
 	if cap := t.PayloadCapacity(packetSamples); len(payload) > cap {
 		return nil, nil, fmt.Errorf("tag: payload %d bytes exceeds capacity %d for %d-sample excitation", len(payload), cap, packetSamples)
 	}
 	coded := EncodeFrameBits(payload, cfg.Coding, cfg.Mod)
 	symbols := cfg.Mod.MapBits(coded)
-
-	m := make([]complex128, packetSamples)
+	plan := &TxPlan{
+		Cfg:         cfg,
+		SilentEnd:   SilentSamples,
+		PreambleEnd: SilentSamples + cfg.PreambleSamples(),
+		NumSymbols:  len(symbols),
+		Symbols:     symbols,
+		CodedBits:   coded,
+		InfoBits:    FrameInfoBits(len(payload)),
+		Payload:     payload,
+	}
+	end := plan.End()
+	if cap(dst) < end {
+		dst = make([]complex128, end)
+	}
+	m := dst[:end]
+	clear(m[:SilentSamples])
 	// Preamble chips.
-	pre := PreambleSequence(cfg.ID, cfg.PreambleChips)
 	idx := SilentSamples
-	for _, chip := range pre {
+	for _, chip := range t.pre {
 		for k := 0; k < ChipSamples; k++ {
 			m[idx] = chip
 			idx++
@@ -200,16 +231,6 @@ func (t *Tag) ModulationSequence(packetSamples int, payload []byte) ([]complex12
 			m[idx] = sym
 			idx++
 		}
-	}
-	plan := &TxPlan{
-		Cfg:         cfg,
-		SilentEnd:   SilentSamples,
-		PreambleEnd: SilentSamples + cfg.PreambleSamples(),
-		NumSymbols:  len(symbols),
-		Symbols:     symbols,
-		CodedBits:   coded,
-		InfoBits:    FrameInfoBits(len(payload)),
-		Payload:     payload,
 	}
 	return m, plan, nil
 }

@@ -217,6 +217,45 @@ func TestModulationSequenceLayout(t *testing.T) {
 	}
 }
 
+func TestModulationSequenceIntoMatchesPrefix(t *testing.T) {
+	tg, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const packet = 20000
+	// A reused buffer holding another frame's (non-zero) samples.
+	dst := make([]complex128, packet)
+	for i := range dst {
+		dst[i] = complex(7, -7)
+	}
+	for _, payload := range [][]byte{[]byte("a longer payload than the next one"), []byte("short")} {
+		full, plan, err := tg.ModulationSequence(packet, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, plan2, err := tg.ModulationSequenceInto(dst, packet, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m) != plan.End() || plan2.End() != plan.End() {
+			t.Fatalf("windowed length %d, want the frame's end %d", len(m), plan.End())
+		}
+		for i, v := range m {
+			if v != full[i] {
+				t.Fatalf("sample %d: windowed %v vs full %v", i, v, full[i])
+			}
+		}
+		for i := plan.End(); i < packet; i++ {
+			if full[i] != 0 {
+				t.Fatalf("full sequence non-zero past the frame at %d", i)
+			}
+		}
+	}
+	if _, _, err := tg.ModulationSequenceInto(dst, 2000, make([]byte, tg.PayloadCapacity(2000)+1)); err == nil {
+		t.Fatal("expected capacity error")
+	}
+}
+
 func TestModulationSequenceRejectsOversizedPayload(t *testing.T) {
 	tg, _ := New(testConfig())
 	const packet = 2000 // tiny excitation
